@@ -10,6 +10,7 @@
 //! `scripts/bench_baseline.sh` to time just the 10k-scale path).
 
 use std::hint::black_box;
+use std::io::{self, Write};
 use std::time::Instant;
 
 use wsn_core::Experiment;
@@ -18,14 +19,16 @@ use wsn_net::{Ctx, NetConfig, Network, Packet, Position, Protocol, Topology};
 use wsn_scenario::{generate_field, ScenarioSpec};
 use wsn_setcover::{exact_cover, greedy_cover, CoverInstance};
 use wsn_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use wsn_trace::{DropReason, JsonlSink, TraceRecord, TraceSink, ENERGY_STATES};
 use wsn_trees::{compare_trees, random_geometric, random_sources};
 
-/// Times `iters` runs of `f` (after `warmup` unmeasured runs) and prints a
-/// one-line report.
-fn bench<R>(name: &str, warmup: u64, iters: u64, mut f: impl FnMut() -> R) {
+/// Times `iters` runs of `f` (after `warmup` unmeasured runs), prints a
+/// one-line report and returns the median ns per run (`None` when
+/// `WSN_BENCH_ONLY` filters the benchmark out).
+fn bench<R>(name: &str, warmup: u64, iters: u64, mut f: impl FnMut() -> R) -> Option<f64> {
     if let Ok(filter) = std::env::var("WSN_BENCH_ONLY") {
         if !name.contains(&filter) {
-            return;
+            return None;
         }
     }
     let scale: u64 = std::env::var("WSN_BENCH_SCALE")
@@ -50,6 +53,7 @@ fn bench<R>(name: &str, warmup: u64, iters: u64, mut f: impl FnMut() -> R) {
     println!(
         "{name:<28} {iters:>6} iters  median {median:>12.0} ns  mean {mean:>12.0} ns  total {total:>6.2} s"
     );
+    Some(median)
 }
 
 /// A reproducible random cover instance with `sets` subsets over `elems`
@@ -179,6 +183,103 @@ fn bench_phy_broadcast() {
     });
 }
 
+/// A fixed record mix shaped like a traced paper sweep: 80% `energy`
+/// debits whose joules mostly repeat (every hearer of a frame closes an rx
+/// interval of the same length; seven in eight debits here reuse one of
+/// seven values taken from a `fig5` trace, the rest are fresh idle
+/// intervals), then `rx`, `tx` with lineage, `drop` and `collision` lines.
+fn encode_mix() -> Vec<TraceRecord> {
+    const COMMON_JOULES: [f64; 7] = [
+        0.00010349000000000001,
+        0.00020224,
+        0.00000035000000000000004,
+        0.00014694,
+        0.00017292000000000002,
+        0.00033792,
+        0.00024552,
+    ];
+    (0..1000u32)
+        .map(|i| {
+            let t_ns = 5_745_219 + u64::from(i) * 372_000;
+            let node = i * 37 % 350;
+            let tx = u64::from(i) * 9;
+            match i % 20 {
+                0..=15 => TraceRecord::EnergyDebit {
+                    t_ns,
+                    node,
+                    state: ENERGY_STATES[1 + (i % 3) as usize],
+                    joules: if i % 8 == 7 {
+                        f64::from(i) * 3.5e-7
+                    } else {
+                        COMMON_JOULES[(i % 7) as usize]
+                    },
+                },
+                16 | 17 => TraceRecord::PacketRx {
+                    t_ns,
+                    node,
+                    from: (node + 1) % 350,
+                    tx,
+                    bytes: 36,
+                },
+                18 if i % 40 == 18 => TraceRecord::PacketTx {
+                    t_ns,
+                    node,
+                    tx,
+                    kind: "data",
+                    bytes: 64,
+                    dst: Some((node + 3) % 350),
+                    lineage: Some(format!("{}#{},{}#{}", node, i / 20, node + 1, i / 20)),
+                },
+                18 => TraceRecord::PacketDrop {
+                    t_ns,
+                    node,
+                    reason: DropReason::Collision,
+                    tx: Some(tx),
+                },
+                _ => TraceRecord::Collision { t_ns, node },
+            }
+        })
+        .collect()
+}
+
+/// A writer that only counts bytes. Unlike `io::sink()`, whose
+/// `write_fmt` can discard its arguments unformatted, it makes any encoder
+/// produce every byte.
+struct ByteCount(u64);
+
+impl Write for ByteCount {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0 += buf.len() as u64;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+fn bench_trace_encode() {
+    // One iteration sends the whole mix through one long-lived sink (warm
+    // line buffer and `f64` memo, as in a running trace) into a byte
+    // counter, which keeps the writer's cost out of the measurement.
+    let mix = encode_mix();
+    let mut sink = JsonlSink::new(ByteCount(0));
+    let median = bench("trace/encode_mix", 10, 500, || {
+        for rec in &mix {
+            sink.record(black_box(rec));
+        }
+        sink.records()
+    });
+    if let Some(median) = median {
+        println!(
+            "{:<28} {:>6} records/iter  {:>8.1} ns/record",
+            "trace/encode_mix",
+            mix.len(),
+            median / mix.len() as f64
+        );
+    }
+}
+
 fn bench_trees() {
     for &n in &[100usize, 350] {
         let mut rng = SimRng::from_seed_stream(9, n as u64);
@@ -242,6 +343,7 @@ fn main() {
     bench_setcover();
     bench_event_queue();
     bench_phy_broadcast();
+    bench_trace_encode();
     bench_trees();
     bench_field_generation();
     bench_scale_10k();

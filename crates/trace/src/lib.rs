@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod audit;
+mod encode;
 pub mod lineage;
 pub mod parse;
 pub mod record;

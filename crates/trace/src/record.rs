@@ -2,9 +2,13 @@
 //!
 //! One [`TraceRecord`] is one line of a run's `.jsonl` artifact. Records are
 //! *flat* JSON objects (no nesting) so the dependency-free line parser in
-//! [`crate::parse`] stays trivial, and every numeric field is written with
-//! Rust's shortest-round-trip `Display` formatting, which is deterministic —
-//! the same run produces byte-identical lines.
+//! [`crate::parse`] stays trivial. Integers are plain decimal and every
+//! `f64` field is written as Rust's shortest-round-trip `Display` text,
+//! which is deterministic — the same run produces byte-identical lines.
+//! The encoding itself lives in `encode.rs`: [`TraceRecord::write_jsonl`],
+//! [`TraceRecord::to_json`] and [`crate::JsonlSink`] share that one
+//! definition, and the sink keeps its encoder (line buffer and `f64` text
+//! memo) across records.
 //!
 //! Schema v2 adds event lineage: application payloads carry `(source, seq)`
 //! lineage ids (see [`crate::lineage`]), physical transmissions carry a
@@ -14,6 +18,8 @@
 //! of comma-joined `src#seq` ids, which keeps the lines flat.
 
 use std::io::{self, Write};
+
+use crate::encode::LineEncoder;
 
 /// Version stamp of the record schema, written on the `run_start` line.
 ///
@@ -338,178 +344,7 @@ impl TraceRecord {
     ///
     /// Propagates I/O errors from `out`.
     pub fn write_jsonl(&self, out: &mut impl Write) -> io::Result<()> {
-        match self {
-            TraceRecord::RunStart { seed, nodes } => writeln!(
-                out,
-                "{{\"ev\":\"run_start\",\"v\":{SCHEMA_VERSION},\"seed\":{seed},\"nodes\":{nodes}}}"
-            ),
-            TraceRecord::Dispatch { t_ns, seq } => {
-                writeln!(out, "{{\"ev\":\"dispatch\",\"t_ns\":{t_ns},\"seq\":{seq}}}")
-            }
-            TraceRecord::MacEnqueue {
-                t_ns,
-                node,
-                bytes,
-                dst,
-                lineage,
-            } => {
-                write!(out, "{{\"ev\":\"enq\",\"t_ns\":{t_ns},\"node\":{node},\"bytes\":{bytes}")?;
-                if let Some(d) = dst {
-                    write!(out, ",\"dst\":{d}")?;
-                }
-                if let Some(l) = lineage {
-                    write!(out, ",\"lineage\":\"{l}\"")?;
-                }
-                writeln!(out, "}}")
-            }
-            TraceRecord::PacketTx {
-                t_ns,
-                node,
-                tx,
-                kind,
-                bytes,
-                dst,
-                lineage,
-            } => {
-                write!(
-                    out,
-                    "{{\"ev\":\"tx\",\"t_ns\":{t_ns},\"node\":{node},\"tx\":{tx},\"kind\":\"{kind}\",\"bytes\":{bytes}"
-                )?;
-                if let Some(d) = dst {
-                    write!(out, ",\"dst\":{d}")?;
-                }
-                if let Some(l) = lineage {
-                    write!(out, ",\"lineage\":\"{l}\"")?;
-                }
-                writeln!(out, "}}")
-            }
-            TraceRecord::PacketRx {
-                t_ns,
-                node,
-                from,
-                tx,
-                bytes,
-            } => writeln!(
-                out,
-                "{{\"ev\":\"rx\",\"t_ns\":{t_ns},\"node\":{node},\"from\":{from},\"tx\":{tx},\"bytes\":{bytes}}}"
-            ),
-            TraceRecord::PacketDrop {
-                t_ns,
-                node,
-                reason,
-                tx,
-            } => {
-                write!(
-                    out,
-                    "{{\"ev\":\"drop\",\"t_ns\":{t_ns},\"node\":{node},\"reason\":\"{}\"",
-                    reason.name()
-                )?;
-                if let Some(tx) = tx {
-                    write!(out, ",\"tx\":{tx}")?;
-                }
-                writeln!(out, "}}")
-            }
-            TraceRecord::Collision { t_ns, node } => writeln!(
-                out,
-                "{{\"ev\":\"collision\",\"t_ns\":{t_ns},\"node\":{node}}}"
-            ),
-            TraceRecord::EnergyDebit {
-                t_ns,
-                node,
-                state,
-                joules,
-            } => writeln!(
-                out,
-                "{{\"ev\":\"energy\",\"t_ns\":{t_ns},\"node\":{node},\"state\":\"{state}\",\"joules\":{joules}}}"
-            ),
-            TraceRecord::GradientReinforce {
-                t_ns,
-                node,
-                from,
-                kind,
-            } => writeln!(
-                out,
-                "{{\"ev\":\"reinforce\",\"t_ns\":{t_ns},\"node\":{node},\"from\":{from},\"kind\":\"{kind}\"}}"
-            ),
-            TraceRecord::TreeEdge { t_ns, node, parent } => writeln!(
-                out,
-                "{{\"ev\":\"tree_edge\",\"t_ns\":{t_ns},\"node\":{node},\"parent\":{parent}}}"
-            ),
-            TraceRecord::AggMerge {
-                t_ns,
-                node,
-                inputs,
-                items,
-                cost,
-                lineage,
-            } => writeln!(
-                out,
-                "{{\"ev\":\"agg_merge\",\"t_ns\":{t_ns},\"node\":{node},\"inputs\":{inputs},\"items\":{items},\"cost\":{cost},\"lineage\":\"{lineage}\"}}"
-            ),
-            TraceRecord::EventGen { t_ns, node, seq } => writeln!(
-                out,
-                "{{\"ev\":\"event_gen\",\"t_ns\":{t_ns},\"node\":{node},\"seq\":{seq}}}"
-            ),
-            TraceRecord::EventDeliver {
-                t_ns,
-                node,
-                src,
-                seq,
-                gen_ns,
-            } => writeln!(
-                out,
-                "{{\"ev\":\"deliver\",\"t_ns\":{t_ns},\"node\":{node},\"src\":{src},\"seq\":{seq},\"gen_ns\":{gen_ns}}}"
-            ),
-            TraceRecord::ItemDrop {
-                t_ns,
-                node,
-                src,
-                seq,
-                reason,
-            } => writeln!(
-                out,
-                "{{\"ev\":\"item_drop\",\"t_ns\":{t_ns},\"node\":{node},\"src\":{src},\"seq\":{seq},\"reason\":\"{}\"}}",
-                reason.name()
-            ),
-            TraceRecord::RunMetrics {
-                t_ns,
-                generated,
-                distinct,
-                delay_sum_s,
-                sinks,
-                total_energy_j,
-            } => writeln!(
-                out,
-                "{{\"ev\":\"metrics\",\"t_ns\":{t_ns},\"generated\":{generated},\"distinct\":{distinct},\"delay_sum_s\":{delay_sum_s},\"sinks\":{sinks},\"total_energy_j\":{total_energy_j}}}"
-            ),
-            TraceRecord::Profile {
-                label,
-                count,
-                total_ns,
-                max_ns,
-            } => writeln!(
-                out,
-                "{{\"ev\":\"profile\",\"label\":\"{label}\",\"count\":{count},\"total_ns\":{total_ns},\"max_ns\":{max_ns}}}"
-            ),
-            TraceRecord::Snapshot {
-                t_ns,
-                node,
-                energy_j,
-                queue,
-                cache,
-            } => writeln!(
-                out,
-                "{{\"ev\":\"snapshot\",\"t_ns\":{t_ns},\"node\":{node},\"energy_j\":{energy_j},\"queue\":{queue},\"cache\":{cache}}}"
-            ),
-            TraceRecord::RunEnd {
-                t_ns,
-                events,
-                total_energy_j,
-            } => writeln!(
-                out,
-                "{{\"ev\":\"run_end\",\"t_ns\":{t_ns},\"events\":{events},\"total_energy_j\":{total_energy_j}}}"
-            ),
-        }
+        out.write_all(LineEncoder::new().encode(self))
     }
 
     /// The record rendered as its JSON line, without the trailing newline.

@@ -21,6 +21,7 @@ use wsn::net::{
     Ctx, MetricsOptions, NetConfig, NetMetricIds, Network, Packet, Position, Protocol, Topology,
 };
 use wsn::sim::{EventQueue, SimDuration, SimTime};
+use wsn::trace::{DropReason, JsonlSink, TraceRecord, TraceSink};
 
 /// The system allocator with an allocation counter bolted on. Frees are not
 /// counted — the tripwire is about allocation pressure, and a steady state
@@ -226,6 +227,61 @@ fn main() {
         allocated, sent,
         "metrics recording/snapshots must not allocate in steady state \
          ({sent} sends)"
+    );
+
+    // ---- Phase 5: the JSONL sink encodes a warmed-up record mix without
+    // allocating: its line buffer and `f64` text memo are reused across
+    // records. The records are built before measuring (a `tx` lineage is
+    // an owned `String`); the warm pass grows the line buffer to the
+    // longest line once. ----
+    let mut records = Vec::new();
+    for i in 0..64u32 {
+        let t_ns = 1_000_000 + u64::from(i) * 1_337;
+        records.push(TraceRecord::EnergyDebit {
+            t_ns,
+            node: i,
+            state: ["idle", "rx", "tx"][(i % 3) as usize],
+            joules: f64::from(i % 7 + 1) * 6.3e-5,
+        });
+        records.push(TraceRecord::PacketRx {
+            t_ns,
+            node: i,
+            from: i + 1,
+            tx: u64::from(i) * 31,
+            bytes: 64,
+        });
+        records.push(TraceRecord::PacketDrop {
+            t_ns,
+            node: i,
+            reason: DropReason::Collision,
+            tx: Some(u64::from(i)),
+        });
+        records.push(TraceRecord::PacketTx {
+            t_ns,
+            node: i,
+            tx: u64::from(i) * 31,
+            kind: "data",
+            bytes: 64,
+            dst: (i % 2 == 0).then_some(i + 2),
+            lineage: Some(format!("{i}#{},{}#{i}", i * 3, i + 1)),
+        });
+    }
+    let mut sink = JsonlSink::new(std::io::sink());
+    for rec in &records {
+        sink.record(rec);
+    }
+    let baseline = allocs();
+    for _ in 0..100 {
+        for rec in &records {
+            sink.record(rec);
+        }
+    }
+    let written = 100 * records.len() as u64;
+    assert_eq!(sink.records(), written + records.len() as u64);
+    assert_eq!(
+        allocs() - baseline,
+        0,
+        "JsonlSink allocated in steady state ({written} records)"
     );
 
     println!("zero_alloc: all steady-state allocation invariants hold");
