@@ -14,8 +14,11 @@ use std::io::{self, Write};
 use std::time::Instant;
 
 use wsn_core::Experiment;
-use wsn_diffusion::Scheme;
-use wsn_net::{Ctx, NetConfig, Network, Packet, Position, Protocol, Topology};
+use wsn_diffusion::{
+    AggregationBuffer, EventItem, ExplCache, GradientTable, IncomingAgg, MsgId, Scheme,
+    TruncationLog, WindowEntry,
+};
+use wsn_net::{Ctx, NetConfig, Network, NodeId, Packet, Position, Protocol, Topology};
 use wsn_scenario::{generate_field, ScenarioSpec};
 use wsn_setcover::{exact_cover, greedy_cover, CoverInstance};
 use wsn_sim::{EventQueue, SimDuration, SimRng, SimTime};
@@ -280,6 +283,116 @@ fn bench_trace_encode() {
     }
 }
 
+fn event(source: u32, round: u32) -> EventItem {
+    EventItem {
+        source: NodeId(source),
+        round,
+        generated: SimTime::from_nanos(u64::from(round) * 500_000_000),
+    }
+}
+
+/// The diffusion handlers' building blocks, each at the size one handler
+/// call sees in a dense (~40-neighbor) `density_sweep` field.
+fn bench_diffusion() {
+    // An interest flood's worth of gradient refreshes: 40 neighbors in a
+    // scrambled order, then the queries the handlers make.
+    let mut table = GradientTable::new();
+    let mut now = 0u64;
+    bench("diffusion/gradient_refresh", 100, 20_000, || {
+        now += 1_000_000;
+        let at = SimTime::from_nanos(now);
+        let until = SimTime::from_nanos(now + 15_000_000_000);
+        for i in 0..40u32 {
+            table.refresh_exploratory(NodeId(i * 17 % 41), until);
+        }
+        table.reinforce(NodeId(3), until);
+        let live = (0..40u32)
+            .filter(|&i| table.has_exploratory(NodeId(i), at))
+            .count();
+        (live, table.on_tree(at), table.data_neighbors(at).len())
+    });
+
+    // One exploratory round at one node: 20 offers (every fourth an
+    // incremental cost), the greedy choice, and expiry of old rounds.
+    let mut cache = ExplCache::new();
+    let mut round = 0u32;
+    bench("diffusion/expl_record_choose", 100, 20_000, || {
+        round += 1;
+        let id = MsgId {
+            source: NodeId(7),
+            round,
+        };
+        let item = event(7, round);
+        let t0 = u64::from(round) * 1_000_000_000;
+        for k in 0..20u32 {
+            let from = NodeId(k * 13 % 23);
+            let cost = 3 + (k * 7) % 5;
+            let at = SimTime::from_nanos(t0 + u64::from(k) * 1_000);
+            if k % 4 == 3 {
+                cache.record_incremental(id, item, from, cost, at);
+            } else {
+                cache.record_exploratory(id, item, from, cost, at);
+            }
+        }
+        let choice = cache.choose_upstream(id, Scheme::Greedy);
+        cache.expire_before(event(7, round.saturating_sub(4)).generated);
+        choice
+    });
+
+    // An aggregation point's cycle: 4 overlapping aggregates from 4
+    // neighbors, then the set-cover flush.
+    let aggs: Vec<(u32, Vec<EventItem>, f64)> = vec![
+        (1, vec![event(0, 1), event(1, 1), event(2, 1)], 5.0),
+        (2, vec![event(1, 1), event(3, 1)], 4.0),
+        (3, vec![event(2, 1), event(3, 1), event(4, 1)], 6.0),
+        (4, vec![event(0, 1), event(4, 1)], 3.0),
+    ];
+    let mut buf = AggregationBuffer::new();
+    bench("diffusion/agg_offer_flush", 100, 20_000, || {
+        let mut seen = 0u32; // bit per source already pending
+        for (from, items, cost) in &aggs {
+            let new: Vec<EventItem> = items
+                .iter()
+                .filter(|it| seen & (1 << it.source.0) == 0)
+                .copied()
+                .collect();
+            for it in &new {
+                seen |= 1 << it.source.0;
+            }
+            let agg = IncomingAgg {
+                from: Some(NodeId(*from)),
+                items: items.clone(),
+                cost: *cost,
+                arrived: SimTime::ZERO,
+            };
+            buf.offer(agg, &new);
+        }
+        buf.flush().map(|out| out.cost)
+    });
+
+    // A truncation tick at a node fed by 4 upstream neighbors: 8 data
+    // messages over 3 sources land in the 2 s window, then the greedy
+    // source-cover decision (which evicts the previous tick's entries).
+    let mut log = TruncationLog::new(SimDuration::from_secs(2));
+    let mut tick = 0u64;
+    bench("diffusion/truncate_decide", 100, 20_000, || {
+        tick += 1;
+        let t0 = tick * 3_000_000_000;
+        for k in 0..8u32 {
+            let round = (tick as u32) * 4 + k / 2;
+            let items = vec![event(k % 3, round), event((k + 1) % 3, round)];
+            log.record(WindowEntry {
+                from: NodeId(10 + k % 4),
+                items,
+                cost: 2.0 + f64::from(k % 3),
+                arrived: SimTime::from_nanos(t0 + u64::from(k) * 100_000_000),
+                had_new: k % 2 == 0,
+            });
+        }
+        log.decide(Scheme::Greedy, SimTime::from_nanos(t0 + 1_000_000_000))
+    });
+}
+
 fn bench_trees() {
     for &n in &[100usize, 350] {
         let mut rng = SimRng::from_seed_stream(9, n as u64);
@@ -344,6 +457,7 @@ fn main() {
     bench_event_queue();
     bench_phy_broadcast();
     bench_trace_encode();
+    bench_diffusion();
     bench_trees();
     bench_field_generation();
     bench_scale_10k();

@@ -13,6 +13,7 @@
 //! sources model, and (c) the ICDCS paper's corner placement, as a function
 //! of network density.
 
+use wsn_bench::{parse_value, usage_exit};
 use wsn_core::Runner;
 use wsn_metrics::{FigureTable, Summary};
 use wsn_net::{Position, Rect};
@@ -21,18 +22,24 @@ use wsn_trees::{
     compare_trees, event_radius_sources, random_geometric, random_sources, region_sources,
 };
 
-fn main() {
+const USAGE: &str = "usage: krishnamachari [--jobs N]";
+
+/// The runner, with `--jobs` applied.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Runner, String> {
     let mut runner = Runner::from_env();
-    let mut it = std::env::args().skip(1);
+    let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--jobs" => {
-                let v = it.next().expect("--jobs needs a value");
-                runner.workers = v.parse().expect("--jobs takes an integer");
-            }
-            other => panic!("unknown argument {other:?}; usage: [--jobs N]"),
+            "--jobs" => runner.workers = parse_value(&a, it.next())?,
+            "--help" | "-h" => return Err(String::new()),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
+    Ok(runner)
+}
+
+fn main() {
+    let runner = parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| usage_exit(&msg, USAGE));
     let fields_per_point = 10;
     let node_counts = [50usize, 100, 150, 200, 250, 300, 350];
     let mut table = FigureTable::new(

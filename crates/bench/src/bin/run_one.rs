@@ -18,6 +18,7 @@
 //! the final registry in Prometheus exposition format on stdout (both may
 //! be combined).
 
+use wsn_bench::{parse_value, usage_exit};
 use wsn_diffusion::{DiffusionConfig, DiffusionNode, MsgKind, Role, Scheme};
 use wsn_metrics::RunRecord;
 use wsn_net::{MacKind, NetConfig, Network};
@@ -43,7 +44,13 @@ struct Args {
     prometheus: bool,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "\
+usage: run_one [--nodes N] [--scheme greedy|opportunistic] [--duration SECS]
+               [--seed SEED] [--sources N] [--sinks N] [--failures]
+               [--random-sources] [--mac csma|rtscts|ideal] [--svg PATH]
+               [--max-events N] [--scale FACTOR] [--metrics PATH] [--prometheus]";
+
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         nodes: 200,
         scheme: Scheme::Greedy,
@@ -60,44 +67,47 @@ fn parse_args() -> Args {
         metrics: None,
         prometheus: false,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(a) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| panic!("{a} needs a value"));
-        match a.as_str() {
-            "--nodes" => args.nodes = val().parse().expect("--nodes"),
+        let flag = a.as_str();
+        match flag {
+            "--nodes" => args.nodes = parse_value(flag, it.next())?,
             "--scheme" => {
-                args.scheme = match val().as_str() {
+                args.scheme = match parse_value::<String>(flag, it.next())?.as_str() {
                     "greedy" => Scheme::Greedy,
                     "opportunistic" => Scheme::Opportunistic,
-                    other => panic!("unknown scheme {other:?} (greedy|opportunistic)"),
+                    other => {
+                        return Err(format!("unknown scheme {other:?} (greedy|opportunistic)"))
+                    }
                 }
             }
-            "--duration" => args.duration_s = val().parse().expect("--duration"),
-            "--seed" => args.seed = val().parse().expect("--seed"),
-            "--sources" => args.sources = val().parse().expect("--sources"),
-            "--sinks" => args.sinks = val().parse().expect("--sinks"),
+            "--duration" => args.duration_s = parse_value(flag, it.next())?,
+            "--seed" => args.seed = parse_value(flag, it.next())?,
+            "--sources" => args.sources = parse_value(flag, it.next())?,
+            "--sinks" => args.sinks = parse_value(flag, it.next())?,
             "--failures" => args.failures = true,
             "--random-sources" => args.random_sources = true,
-            "--mac" => args.mac = val().parse().expect("--mac (csma|rtscts|ideal)"),
-            "--svg" => args.svg = Some(val()),
-            "--max-events" => args.max_events = Some(val().parse().expect("--max-events")),
-            "--metrics" => args.metrics = Some(val()),
+            "--mac" => args.mac = parse_value(flag, it.next())?,
+            "--svg" => args.svg = Some(parse_value(flag, it.next())?),
+            "--max-events" => args.max_events = Some(parse_value(flag, it.next())?),
+            "--metrics" => args.metrics = Some(parse_value(flag, it.next())?),
             "--prometheus" => args.prometheus = true,
             "--scale" => {
-                args.scale = val().parse().expect("--scale");
-                assert!(
-                    args.scale.is_finite() && args.scale > 0.0,
-                    "--scale must be positive"
-                );
+                args.scale = parse_value(flag, it.next())?;
+                if !(args.scale.is_finite() && args.scale > 0.0) {
+                    return Err(format!("--scale must be positive, got {}", args.scale));
+                }
             }
-            other => panic!("unknown argument {other:?}; see the module docs of run_one for usage"),
+            "--help" | "-h" => return Err(String::new()),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let mut args = parse_args();
+    let mut args =
+        parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| usage_exit(&msg, USAGE));
     let defaults = ScenarioSpec::default();
     let mut field_side_m = defaults.field_side_m;
     let mut connectivity = defaults.connectivity;
@@ -316,5 +326,42 @@ fn main() {
         let svg = render_svg(&instance.field, &overlay);
         std::fs::write(&path, svg).expect("write SVG");
         println!("wrote {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(v: &[&str]) -> Result<Args, String> {
+        parse_args(v.iter().map(|x| x.to_string()))
+    }
+
+    #[test]
+    fn flags_apply() {
+        let a = parse(&[
+            "--nodes",
+            "60",
+            "--scheme",
+            "opportunistic",
+            "--mac",
+            "ideal",
+        ])
+        .expect("valid arguments");
+        assert_eq!(a.nodes, 60);
+        assert_eq!(a.scheme, Scheme::Opportunistic);
+        assert_eq!(a.mac, MacKind::Ideal);
+    }
+
+    #[test]
+    fn bad_input_is_an_error_not_a_panic() {
+        let err = |v: &[&str]| parse(v).err().expect("rejected");
+        assert_eq!(err(&["--help"]), "");
+        assert_eq!(err(&["--bogus"]), "unknown argument \"--bogus\"");
+        assert_eq!(err(&["--nodes"]), "--nodes needs a value");
+        assert!(err(&["--seed", "7x"]).starts_with("--seed \"7x\": "));
+        assert!(err(&["--mac", "tdma"]).contains("unknown MAC"));
+        assert!(err(&["--scheme", "best"]).starts_with("unknown scheme"));
+        assert_eq!(err(&["--scale", "0"]), "--scale must be positive, got 0");
     }
 }

@@ -14,6 +14,7 @@
 
 use std::path::{Path, PathBuf};
 
+use wsn_bench::{parse_value, usage_exit};
 use wsn_trace::TraceSummary;
 
 struct Args {
@@ -23,39 +24,35 @@ struct Args {
     profile: bool,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "usage: trace_report DIR|FILE.jsonl [--top N] [--buckets N] [--profile]";
+
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut path: Option<PathBuf> = None;
     let mut top = 5usize;
     let mut buckets = 10usize;
     let mut profile = false;
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(a) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| panic!("{a} needs a value"));
         match a.as_str() {
-            "--top" => top = val().parse().expect("--top takes an integer"),
-            "--buckets" => buckets = val().parse().expect("--buckets takes an integer"),
+            "--top" => top = parse_value(&a, it.next())?,
+            "--buckets" => buckets = parse_value(&a, it.next())?,
             "--profile" => profile = true,
+            "--help" | "-h" => return Err(String::new()),
             other if other.starts_with("--") => {
-                panic!(
-                    "unknown argument {other:?}; usage: trace_report DIR [--top N] [--buckets N] \
-                     [--profile]"
-                )
+                return Err(format!("unknown argument {other:?}"));
             }
-            other => {
-                assert!(
-                    path.is_none(),
-                    "at most one trace path, got a second: {other:?}"
-                );
-                path = Some(PathBuf::from(other));
+            other if path.is_some() => {
+                return Err(format!("at most one trace path, got a second: {other:?}"));
             }
+            other => path = Some(PathBuf::from(other)),
         }
     }
-    Args {
-        path: path.expect("usage: trace_report DIR [--top N] [--buckets N] [--profile]"),
+    Ok(Args {
+        path: path.ok_or("a trace directory or file is required")?,
         top,
         buckets,
         profile,
-    }
+    })
 }
 
 /// The `.jsonl` files under `path` (or `path` itself if it is a file),
@@ -76,7 +73,7 @@ fn trace_files(path: &Path) -> Vec<PathBuf> {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| usage_exit(&msg, USAGE));
     let files = trace_files(&args.path);
     if files.is_empty() {
         eprintln!("error: no .jsonl trace files at {}", args.path.display());

@@ -60,13 +60,38 @@ pub struct HarnessOptions {
     pub runner: Runner,
 }
 
+/// The shared options, as printed by `--help` and on bad input.
+pub const USAGE: &str = "\
+usage: [--quick] [--fields N] [--duration SECS] [--seed SEED] [--no-csv]
+       [--jobs N] [--max-events N] [--progress] [--trace DIR] [--metrics DIR]
+       [--profile] [--scale FACTOR]
+
+See the wsn-bench crate docs for what each option does.";
+
+/// The value following `flag`, parsed as a `T`, or a message naming the
+/// flag and the missing or malformed value.
+///
+/// # Errors
+///
+/// Returns the message when `value` is absent or does not parse.
+pub fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|e| format!("{flag} {v:?}: {e}"))
+}
+
 impl HarnessOptions {
     /// Parses options from an argument list (without the program name).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on unknown or malformed arguments.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
+    /// Returns a message naming the problem for an unknown argument, a
+    /// missing or malformed value, a non-positive `--scale`, or a trace or
+    /// metrics directory that cannot be created; returns an empty message
+    /// for `--help`/`-h`.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut seed = 2002u64;
         let mut quick = false;
         let mut fields: Option<usize> = None;
@@ -80,53 +105,33 @@ impl HarnessOptions {
                 "--quick" => quick = true,
                 "--no-csv" => csv = false,
                 "--progress" => runner.progress = true,
-                "--fields" => {
-                    let v = it.next().expect("--fields needs a value");
-                    fields = Some(v.parse().expect("--fields takes an integer"));
-                }
-                "--duration" => {
-                    let v = it.next().expect("--duration needs a value");
-                    duration = Some(v.parse().expect("--duration takes seconds"));
-                }
-                "--seed" => {
-                    let v = it.next().expect("--seed needs a value");
-                    seed = v.parse().expect("--seed takes an integer");
-                }
-                "--jobs" => {
-                    let v = it.next().expect("--jobs needs a value");
-                    runner.workers = v.parse().expect("--jobs takes an integer");
-                }
-                "--max-events" => {
-                    let v = it.next().expect("--max-events needs a value");
-                    runner.max_events = Some(v.parse().expect("--max-events takes an integer"));
-                }
+                "--fields" => fields = Some(parse_value(&arg, it.next())?),
+                "--duration" => duration = Some(parse_value(&arg, it.next())?),
+                "--seed" => seed = parse_value(&arg, it.next())?,
+                "--jobs" => runner.workers = parse_value(&arg, it.next())?,
+                "--max-events" => runner.max_events = Some(parse_value(&arg, it.next())?),
                 "--trace" => {
-                    let dir = it.next().expect("--trace needs a directory");
+                    let dir: String = parse_value(&arg, it.next())?;
                     std::fs::create_dir_all(&dir)
-                        .unwrap_or_else(|e| panic!("cannot create trace directory {dir:?}: {e}"));
+                        .map_err(|e| format!("cannot create trace directory {dir:?}: {e}"))?;
                     runner.trace = Some(TraceSpec::new(dir));
                 }
                 "--metrics" => {
-                    let dir = it.next().expect("--metrics needs a directory");
+                    let dir: String = parse_value(&arg, it.next())?;
                     std::fs::create_dir_all(&dir)
-                        .unwrap_or_else(|e| panic!("cannot create metrics directory {dir:?}: {e}"));
+                        .map_err(|e| format!("cannot create metrics directory {dir:?}: {e}"))?;
                     runner.metrics = Some(MetricsSpec::new(dir));
                 }
                 "--profile" => runner.profile = true,
                 "--scale" => {
-                    let v = it.next().expect("--scale needs a value");
-                    let s: f64 = v.parse().expect("--scale takes a number");
-                    assert!(
-                        s.is_finite() && s > 0.0,
-                        "--scale must be positive, got {s}"
-                    );
+                    let s: f64 = parse_value(&arg, it.next())?;
+                    if !(s.is_finite() && s > 0.0) {
+                        return Err(format!("--scale must be positive, got {s}"));
+                    }
                     scale = s;
                 }
-                other => panic!(
-                    "unknown argument {other:?}; usage: [--quick] [--fields N] [--duration SECS] \
-                     [--seed SEED] [--no-csv] [--jobs N] [--max-events N] [--progress] \
-                     [--trace DIR] [--metrics DIR] [--profile] [--scale FACTOR]"
-                ),
+                "--help" | "-h" => return Err(String::new()),
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
         let mut params = if quick {
@@ -141,17 +146,28 @@ impl HarnessOptions {
             params.duration = SimDuration::from_secs(d);
         }
         params.scale = scale;
-        HarnessOptions {
+        Ok(HarnessOptions {
             params,
             csv,
             runner,
-        }
+        })
     }
 
-    /// Parses from the process arguments.
+    /// Parses from the process arguments. On `--help` or bad input, prints
+    /// the problem and [`USAGE`] to stderr and exits with status 2.
     pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|msg| usage_exit(&msg, USAGE))
     }
+}
+
+/// Prints `msg` (unless empty, as for `--help`) and `usage` to stderr and
+/// exits with status 2 — the bench binaries' answer to bad arguments.
+pub fn usage_exit(msg: &str, usage: &str) -> ! {
+    if !msg.is_empty() {
+        eprintln!("error: {msg}");
+    }
+    eprintln!("{usage}");
+    std::process::exit(2);
 }
 
 /// Runs `figure` on the options' runner and prints its panels (and CSV, if
@@ -191,13 +207,17 @@ pub fn run_and_print(figure: Figure, opts: &HarnessOptions) -> FigureData {
 mod tests {
     use super::*;
 
-    fn s(v: &[&str]) -> Vec<String> {
-        v.iter().map(|x| x.to_string()).collect()
+    fn parse(v: &[&str]) -> HarnessOptions {
+        try_parse(v).expect("valid arguments")
+    }
+
+    fn try_parse(v: &[&str]) -> Result<HarnessOptions, String> {
+        HarnessOptions::parse(v.iter().map(|x| x.to_string()))
     }
 
     #[test]
     fn defaults_are_paper_scale() {
-        let o = HarnessOptions::parse(s(&[]));
+        let o = parse(&[]);
         assert_eq!(o.params.fields_per_point, 10);
         assert_eq!(o.params.node_counts.len(), 7);
         assert!(o.csv);
@@ -206,13 +226,13 @@ mod tests {
 
     #[test]
     fn quick_flag_shrinks_sweep() {
-        let o = HarnessOptions::parse(s(&["--quick"]));
+        let o = parse(&["--quick"]);
         assert_eq!(o.params.fields_per_point, 2);
     }
 
     #[test]
     fn overrides_apply() {
-        let o = HarnessOptions::parse(s(&[
+        let o = parse(&[
             "--quick",
             "--fields",
             "4",
@@ -221,7 +241,7 @@ mod tests {
             "--seed",
             "7",
             "--no-csv",
-        ]));
+        ]);
         assert_eq!(o.params.fields_per_point, 4);
         assert_eq!(o.params.duration, SimDuration::from_secs(80));
         assert_eq!(o.params.seed, 7);
@@ -230,7 +250,7 @@ mod tests {
 
     #[test]
     fn runner_flags_apply() {
-        let o = HarnessOptions::parse(s(&["--jobs", "3", "--max-events", "5000", "--progress"]));
+        let o = parse(&["--jobs", "3", "--max-events", "5000", "--progress"]);
         assert_eq!(o.runner.workers, 3);
         assert_eq!(o.runner.effective_workers(), 3);
         assert_eq!(o.runner.max_events, Some(5000));
@@ -240,27 +260,29 @@ mod tests {
 
     #[test]
     fn profile_flag_arms_the_profiler() {
-        let o = HarnessOptions::parse(s(&["--profile"]));
+        let o = parse(&["--profile"]);
         assert!(o.runner.profile);
     }
 
     #[test]
     fn scale_flag_applies_and_defaults_to_identity() {
-        assert_eq!(HarnessOptions::parse(s(&[])).params.scale, 1.0);
-        let o = HarnessOptions::parse(s(&["--quick", "--scale", "100"]));
+        assert_eq!(parse(&[]).params.scale, 1.0);
+        let o = parse(&["--quick", "--scale", "100"]);
         assert_eq!(o.params.scale, 100.0);
     }
 
+    // The two `should_panic` tests below see the rejection through
+    // `parse`'s `expect`, whose message carries the error text.
     #[test]
     #[should_panic(expected = "--scale must be positive")]
     fn non_positive_scale_panics() {
-        HarnessOptions::parse(s(&["--scale", "0"]));
+        parse(&["--scale", "0"]);
     }
 
     #[test]
     fn trace_flag_creates_the_directory_and_wires_the_runner() {
         let dir = std::env::temp_dir().join("wsn_bench_trace_flag_test");
-        let o = HarnessOptions::parse(s(&["--trace", dir.to_str().expect("utf-8 temp path")]));
+        let o = parse(&["--trace", dir.to_str().expect("utf-8 temp path")]);
         let spec = o.runner.trace.expect("--trace sets a trace spec");
         assert_eq!(spec.dir, dir);
         assert!(dir.is_dir());
@@ -270,7 +292,7 @@ mod tests {
     #[test]
     fn metrics_flag_creates_the_directory_and_wires_the_runner() {
         let dir = std::env::temp_dir().join("wsn_bench_metrics_flag_test");
-        let o = HarnessOptions::parse(s(&["--metrics", dir.to_str().expect("utf-8 temp path")]));
+        let o = parse(&["--metrics", dir.to_str().expect("utf-8 temp path")]);
         let spec = o.runner.metrics.expect("--metrics sets a metrics spec");
         assert_eq!(spec.dir, dir);
         assert!(dir.is_dir());
@@ -280,6 +302,36 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown argument")]
     fn unknown_argument_panics() {
-        HarnessOptions::parse(s(&["--bogus"]));
+        parse(&["--bogus"]);
+    }
+
+    #[test]
+    fn bad_input_is_an_error_not_a_panic() {
+        let err = |v: &[&str]| try_parse(v).expect_err("rejected");
+        assert_eq!(err(&["--help"]), "");
+        assert_eq!(err(&["-h"]), "");
+        assert_eq!(err(&["--bogus"]), "unknown argument \"--bogus\"");
+        assert_eq!(err(&["--fields"]), "--fields needs a value");
+        assert_eq!(err(&["--quick", "--seed"]), "--seed needs a value");
+        assert!(err(&["--jobs", "four"]).starts_with("--jobs \"four\": "));
+        assert!(err(&["--duration", "-3"]).starts_with("--duration \"-3\": "));
+        assert!(err(&["--scale", "x"]).starts_with("--scale \"x\": "));
+        assert_eq!(err(&["--scale", "0"]), "--scale must be positive, got 0");
+        assert_eq!(err(&["--scale", "-2"]), "--scale must be positive, got -2");
+        assert_eq!(
+            err(&["--scale", "inf"]),
+            "--scale must be positive, got inf"
+        );
+    }
+
+    #[test]
+    fn uncreatable_trace_directory_is_an_error() {
+        let file = std::env::temp_dir().join("wsn_bench_trace_dir_is_a_file");
+        std::fs::write(&file, b"").expect("temp file");
+        let below = file.join("sub");
+        let e = try_parse(&["--trace", below.to_str().expect("utf-8 temp path")])
+            .expect_err("a directory below a file cannot be created");
+        assert!(e.starts_with("cannot create trace directory"), "{e}");
+        let _ = std::fs::remove_file(&file);
     }
 }

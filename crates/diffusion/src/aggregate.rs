@@ -6,10 +6,8 @@
 //! one (for the outgoing transmission itself) — computed with the greedy
 //! weighted set-cover heuristic.
 
-use std::collections::BTreeMap;
-
 use wsn_net::NodeId;
-use wsn_setcover::{greedy_cover, CoverInstance};
+use wsn_setcover::{CoverInstance, GreedySolver};
 use wsn_sim::SimTime;
 
 use crate::msg::EventItem;
@@ -37,6 +35,11 @@ pub struct OutgoingAgg {
     pub cost: f64,
 }
 
+/// Where `item`'s key sits among `items`, sorted and distinct by key.
+fn key_position(items: &[EventItem], item: &EventItem) -> Result<usize, usize> {
+    items.binary_search_by_key(&item.key(), EventItem::key)
+}
+
 /// Buffers incoming data between flushes and computes outgoing aggregates.
 ///
 /// The buffer tracks *pending* items (received but not yet forwarded — the
@@ -46,8 +49,16 @@ pub struct OutgoingAgg {
 /// items another neighbor also delivered).
 #[derive(Debug, Clone, Default)]
 pub struct AggregationBuffer {
-    pending: BTreeMap<(NodeId, u32), EventItem>,
+    /// Pending items, sorted by `(source, round)` and distinct by that key.
+    pending: Vec<EventItem>,
     cycle: Vec<IncomingAgg>,
+    /// Item vectors of past cycles, reused by
+    /// [`offer_items`](Self::offer_items).
+    spare_items: Vec<Vec<EventItem>>,
+    /// The flush's cover instance and solver, reused across flushes (no
+    /// state survives a flush).
+    cover: CoverInstance,
+    solver: GreedySolver,
 }
 
 impl AggregationBuffer {
@@ -61,9 +72,48 @@ impl AggregationBuffer {
     /// the full aggregate is kept for cost computation regardless.
     pub fn offer(&mut self, agg: IncomingAgg, new_items: &[EventItem]) {
         for item in new_items {
-            self.pending.insert(item.key(), *item);
+            match key_position(&self.pending, item) {
+                Ok(i) => self.pending[i] = *item,
+                Err(i) => self.pending.insert(i, *item),
+            }
         }
         self.cycle.push(agg);
+    }
+
+    /// Like [`offer`](Self::offer) for an aggregate carrying `items`, which
+    /// are copied into the storage of a past cycle's aggregate when one is
+    /// free.
+    pub fn offer_items(
+        &mut self,
+        from: Option<NodeId>,
+        items: &[EventItem],
+        cost: f64,
+        arrived: SimTime,
+        new_items: &[EventItem],
+    ) {
+        let mut v = self.spare_items.pop().unwrap_or_default();
+        v.extend_from_slice(items);
+        let agg = IncomingAgg {
+            from,
+            items: v,
+            cost,
+            arrived,
+        };
+        self.offer(agg, new_items);
+    }
+
+    /// Ends the cycle, keeping its item vectors for reuse — at most one
+    /// cycle's worth, so aggregates offered through [`offer`](Self::offer)
+    /// cannot pile up spares.
+    fn clear_cycle(&mut self) {
+        let keep = self.cycle.len();
+        for agg in self.cycle.drain(..) {
+            if self.spare_items.len() < keep {
+                let mut items = agg.items;
+                items.clear();
+                self.spare_items.push(items);
+            }
+        }
     }
 
     /// Whether any items await forwarding.
@@ -71,11 +121,15 @@ impl AggregationBuffer {
         !self.pending.is_empty()
     }
 
-    /// The distinct sources among pending items.
+    /// Whether any pending item comes from `source`.
+    pub fn has_pending_from(&self, source: NodeId) -> bool {
+        let i = self.pending.partition_point(|it| it.source < source);
+        self.pending.get(i).is_some_and(|it| it.source == source)
+    }
+
+    /// The distinct sources among pending items, sorted.
     pub fn pending_sources(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.pending.keys().map(|&(s, _)| s).collect();
-        v.dedup();
-        v.sort_unstable();
+        let mut v: Vec<NodeId> = self.pending.iter().map(|it| it.source).collect();
         v.dedup();
         v
     }
@@ -105,41 +159,36 @@ impl AggregationBuffer {
     /// the outgoing items.
     pub fn flush(&mut self) -> Option<OutgoingAgg> {
         if self.pending.is_empty() {
-            self.cycle.clear();
+            self.clear_cycle();
             return None;
         }
-        // Dense element ids: position in the pending map (sorted by key).
-        let index_of: BTreeMap<(NodeId, u32), u32> = self
-            .pending
-            .keys()
-            .enumerate()
-            .map(|(i, &k)| (k, i as u32))
-            .collect();
-        let mut inst = CoverInstance::new();
-        let mut subset_cost = Vec::new();
+        // Dense element ids: position among the pending items (sorted by
+        // key).
+        let inst = &mut self.cover;
+        inst.clear();
         for agg in &self.cycle {
-            let elems: Vec<u32> = agg
+            let pending = &self.pending;
+            let mut elems = agg
                 .items
                 .iter()
-                .filter_map(|it| index_of.get(&it.key()).copied())
-                .collect();
-            if elems.is_empty() {
+                .filter_map(|it| key_position(pending, it).ok().map(|i| i as u32))
+                .peekable();
+            if elems.peek().is_none() {
                 continue;
             }
-            inst.add_subset(elems, agg.cost);
-            subset_cost.push(agg.cost);
+            inst.add_subset_from(elems, agg.cost);
         }
         debug_assert!(
             inst.universe_len() == self.pending.len(),
             "every pending item must come from some cycle aggregate"
         );
-        let cover = greedy_cover(&inst);
-        let items: Vec<EventItem> = self.pending.values().copied().collect();
+        let weight = self.solver.solve(inst);
+        let items = self.pending.clone();
         self.pending.clear();
-        self.cycle.clear();
+        self.clear_cycle();
         Some(OutgoingAgg {
             items,
-            cost: cover.weight + 1.0,
+            cost: weight + 1.0,
         })
     }
 
@@ -238,6 +287,11 @@ mod tests {
         buf.offer(agg(Some(1), items.to_vec(), 1.0), &items);
         assert_eq!(buf.pending_sources(), vec![NodeId(1), NodeId(3)]);
         assert_eq!(buf.pending_len(), 3);
+        assert!(buf.has_pending_from(NodeId(1)));
+        assert!(buf.has_pending_from(NodeId(3)));
+        assert!(!buf.has_pending_from(NodeId(0)));
+        assert!(!buf.has_pending_from(NodeId(2)));
+        assert!(!buf.has_pending_from(NodeId(4)));
     }
 
     #[test]

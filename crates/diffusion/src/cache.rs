@@ -16,16 +16,18 @@
 //! lowest-cost offer, preferring exploratory offers on cost ties and earlier
 //! arrivals on remaining ties (paper §4.1).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry as Slot;
 
 use wsn_net::NodeId;
 use wsn_sim::SimTime;
 
 use crate::config::Scheme;
+use crate::idhash::{IdMap, IdSet};
 use crate::msg::{EventItem, MsgId};
 
-/// Which kind of offer won the upstream choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which kind of offer won the upstream choice. Ordered exploratory first,
+/// the greedy scheme's preference on cost ties.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum UpstreamKind {
     /// Reinforce along the exploratory event's reverse path (builds a new
     /// path segment toward the source).
@@ -54,7 +56,9 @@ pub struct ExplEntry {
     /// Minimum energy cost at which this node received the event — the `E`
     /// looked up when forwarding incremental cost messages.
     pub own_energy: u32,
-    offers: HashMap<NodeId, Offer>,
+    /// Per-neighbor offers, sorted by neighbor id (at most one per radio
+    /// neighbor, so a short vector).
+    offers: Vec<(NodeId, Offer)>,
     /// Whether a reinforcement was already propagated for this id (one
     /// upstream reinforcement per id per node).
     pub reinforce_sent: bool,
@@ -62,19 +66,62 @@ pub struct ExplEntry {
     pub timer_armed: bool,
 }
 
+impl ExplEntry {
+    fn offer_mut(&mut self, from: NodeId) -> &mut Offer {
+        let i = match self.offers.binary_search_by_key(&from, |&(n, _)| n) {
+            Ok(i) => i,
+            Err(i) => {
+                self.offers.insert(i, (from, Offer::default()));
+                i
+            }
+        };
+        &mut self.offers[i].1
+    }
+}
+
 /// The per-node exploratory cache.
 #[derive(Debug, Clone, Default)]
 pub struct ExplCache {
-    entries: HashMap<MsgId, ExplEntry>,
+    entries: IdMap<MsgId, ExplEntry>,
     /// Dedup for incremental cost messages: `(id, origin)` pairs already
     /// forwarded.
-    seen_incremental: HashSet<(MsgId, NodeId)>,
+    seen_incremental: IdSet<(MsgId, NodeId)>,
+    /// Emptied offer vectors of expired entries, reused by new entries so
+    /// that steady-state exploratory rounds allocate nothing.
+    spare_offers: Vec<Vec<(NodeId, Offer)>>,
 }
 
 impl ExplCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         ExplCache::default()
+    }
+
+    /// The entry for `id`, created from `item`/`from`/`now` with
+    /// `own_energy` if absent. Also returns whether it was created.
+    fn entry_or_insert(
+        &mut self,
+        id: MsgId,
+        item: EventItem,
+        from: NodeId,
+        own_energy: u32,
+        now: SimTime,
+    ) -> (&mut ExplEntry, bool) {
+        match self.entries.entry(id) {
+            Slot::Occupied(slot) => (slot.into_mut(), false),
+            Slot::Vacant(slot) => {
+                let entry = slot.insert(ExplEntry {
+                    item,
+                    first_from: from,
+                    first_arrival: now,
+                    own_energy,
+                    offers: self.spare_offers.pop().unwrap_or_default(),
+                    reinforce_sent: false,
+                    timer_armed: false,
+                });
+                (entry, true)
+            }
+        }
     }
 
     /// Records a received exploratory event. Returns `true` when this is the
@@ -87,18 +134,9 @@ impl ExplCache {
         energy: u32,
         now: SimTime,
     ) -> bool {
-        let first = !self.entries.contains_key(&id);
-        let entry = self.entries.entry(id).or_insert_with(|| ExplEntry {
-            item,
-            first_from: from,
-            first_arrival: now,
-            own_energy: energy,
-            offers: HashMap::new(),
-            reinforce_sent: false,
-            timer_armed: false,
-        });
+        let (entry, first) = self.entry_or_insert(id, item, from, energy, now);
         entry.own_energy = entry.own_energy.min(energy);
-        let offer = entry.offers.entry(from).or_default();
+        let offer = entry.offer_mut(from);
         match offer.expl {
             Some((e, _)) if e <= energy => {}
             _ => offer.expl = Some((energy, now)),
@@ -119,16 +157,8 @@ impl ExplCache {
         cost: u32,
         now: SimTime,
     ) {
-        let entry = self.entries.entry(id).or_insert_with(|| ExplEntry {
-            item,
-            first_from: from,
-            first_arrival: now,
-            own_energy: u32::MAX,
-            offers: HashMap::new(),
-            reinforce_sent: false,
-            timer_armed: false,
-        });
-        let offer = entry.offers.entry(from).or_default();
+        let (entry, _) = self.entry_or_insert(id, item, from, u32::MAX, now);
+        let offer = entry.offer_mut(from);
         match offer.incr {
             Some((c, _)) if c <= cost => {}
             _ => offer.incr = Some((cost, now)),
@@ -170,7 +200,7 @@ impl ExplCache {
     /// offers over incremental ones; remaining ties go to the earliest
     /// arrival, then the lowest neighbor id (full determinism).
     pub fn choose_upstream(&self, id: MsgId, scheme: Scheme) -> Option<(NodeId, UpstreamKind)> {
-        self.choose_upstream_excluding(id, scheme, &std::collections::HashSet::new())
+        self.choose_upstream_excluding(id, scheme, &[])
     }
 
     /// Like [`choose_upstream`](Self::choose_upstream), but skips the
@@ -184,9 +214,10 @@ impl ExplCache {
         &self,
         id: MsgId,
         scheme: Scheme,
-        excluded: &HashSet<NodeId>,
+        excluded: &[NodeId],
     ) -> Option<(NodeId, UpstreamKind)> {
         let entry = self.entries.get(&id)?;
+        let offers = entry.offers.iter().filter(|(n, _)| !excluded.contains(n));
         match scheme {
             Scheme::Opportunistic => {
                 if entry.own_energy == u32::MAX {
@@ -194,40 +225,20 @@ impl ExplCache {
                 } else if !excluded.contains(&entry.first_from) {
                     Some((entry.first_from, UpstreamKind::Exploratory))
                 } else {
-                    entry
-                        .offers
-                        .iter()
-                        .filter(|(n, o)| !excluded.contains(n) && o.expl.is_some())
-                        .min_by_key(|(n, o)| (o.expl.expect("filtered").1, **n))
-                        .map(|(&n, _)| (n, UpstreamKind::Exploratory))
+                    offers
+                        .filter_map(|&(n, o)| o.expl.map(|(_, t)| (t, n)))
+                        .min()
+                        .map(|(_, n)| (n, UpstreamKind::Exploratory))
                 }
             }
-            Scheme::Greedy => {
-                let mut best: Option<(u32, u8, SimTime, NodeId, UpstreamKind)> = None;
-                for (&n, offer) in &entry.offers {
-                    if excluded.contains(&n) {
-                        continue;
-                    }
-                    let candidates = [
-                        offer
-                            .expl
-                            .map(|(c, t)| (c, 0u8, t, n, UpstreamKind::Exploratory)),
-                        offer
-                            .incr
-                            .map(|(c, t)| (c, 1u8, t, n, UpstreamKind::Incremental)),
-                    ];
-                    for cand in candidates.into_iter().flatten() {
-                        let better = match &best {
-                            None => true,
-                            Some(b) => (cand.0, cand.1, cand.2, cand.3) < (b.0, b.1, b.2, b.3),
-                        };
-                        if better {
-                            best = Some(cand);
-                        }
-                    }
-                }
-                best.map(|(_, _, _, n, k)| (n, k))
-            }
+            Scheme::Greedy => offers
+                .flat_map(|&(n, o)| {
+                    let expl = o.expl.map(|(c, t)| (c, UpstreamKind::Exploratory, t, n));
+                    let incr = o.incr.map(|(c, t)| (c, UpstreamKind::Incremental, t, n));
+                    expl.into_iter().chain(incr)
+                })
+                .min()
+                .map(|(_, kind, _, n)| (n, kind)),
         }
     }
 
@@ -242,11 +253,22 @@ impl ExplCache {
     }
 
     /// Drops entries for events generated before `horizon` (bounds memory on
-    /// long runs; two exploratory intervals of history are plenty).
+    /// long runs; two exploratory intervals of history are plenty), along
+    /// with their incremental-cost dedup pairs.
     pub fn expire_before(&mut self, horizon: SimTime) {
-        self.entries.retain(|_, e| e.item.generated >= horizon);
-        let live: HashSet<MsgId> = self.entries.keys().copied().collect();
-        self.seen_incremental.retain(|(id, _)| live.contains(id));
+        let spare = &mut self.spare_offers;
+        self.entries.retain(|_, e| {
+            let keep = e.item.generated >= horizon;
+            if !keep {
+                let mut offers = std::mem::take(&mut e.offers);
+                offers.clear();
+                spare.push(offers);
+            }
+            keep
+        });
+        let entries = &self.entries;
+        self.seen_incremental
+            .retain(|(id, _)| entries.contains_key(id));
     }
 
     /// Removes all state (node failure).

@@ -6,20 +6,32 @@
 //! *data* gradient (high-rate data flows along it); negative reinforcement
 //! degrades it back.
 
-use std::collections::HashMap;
-
 use wsn_net::NodeId;
 use wsn_sim::SimTime;
 
 /// Per-neighbor gradient state. A neighbor can hold an exploratory gradient
 /// and a data gradient simultaneously; each expires independently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct Entry {
     expl_until: Option<SimTime>,
     data_until: Option<SimTime>,
 }
 
+impl Entry {
+    fn expl_live(&self, now: SimTime) -> bool {
+        self.expl_until.is_some_and(|u| u >= now)
+    }
+
+    fn data_live(&self, now: SimTime) -> bool {
+        self.data_until.is_some_and(|u| u >= now)
+    }
+}
+
 /// The gradients a node maintains, keyed by neighbor.
+///
+/// Stored as a small vector sorted by neighbor id: a node's entries are
+/// bounded by its radio degree, so a binary search beats hashing, and every
+/// neighbor list comes out sorted without a sort.
 ///
 /// # Examples
 ///
@@ -39,7 +51,7 @@ struct Entry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct GradientTable {
-    entries: HashMap<NodeId, Entry>,
+    entries: Vec<(NodeId, Entry)>,
 }
 
 impl GradientTable {
@@ -48,32 +60,44 @@ impl GradientTable {
         GradientTable::default()
     }
 
+    fn get(&self, neighbor: NodeId) -> Option<&Entry> {
+        self.entries
+            .binary_search_by_key(&neighbor, |&(n, _)| n)
+            .ok()
+            .map(|i| &self.entries[i].1)
+    }
+
+    fn get_or_insert(&mut self, neighbor: NodeId) -> &mut Entry {
+        let i = match self.entries.binary_search_by_key(&neighbor, |&(n, _)| n) {
+            Ok(i) => i,
+            Err(i) => {
+                self.entries.insert(i, (neighbor, Entry::default()));
+                i
+            }
+        };
+        &mut self.entries[i].1
+    }
+
     /// Sets or refreshes the exploratory gradient toward `neighbor`, valid
     /// until `until`. Never shortens an existing validity.
     pub fn refresh_exploratory(&mut self, neighbor: NodeId, until: SimTime) {
-        let e = self.entries.entry(neighbor).or_insert(Entry {
-            expl_until: None,
-            data_until: None,
-        });
+        let e = self.get_or_insert(neighbor);
         e.expl_until = Some(e.expl_until.map_or(until, |u| u.max(until)));
     }
 
     /// Upgrades `neighbor` to a data gradient valid until `until` (positive
     /// reinforcement). Never shortens an existing validity.
     pub fn reinforce(&mut self, neighbor: NodeId, until: SimTime) {
-        let e = self.entries.entry(neighbor).or_insert(Entry {
-            expl_until: None,
-            data_until: None,
-        });
+        let e = self.get_or_insert(neighbor);
         e.data_until = Some(e.data_until.map_or(until, |u| u.max(until)));
     }
 
     /// Degrades `neighbor`'s data gradient to exploratory only (negative
     /// reinforcement). Returns `true` if a live data gradient was removed.
     pub fn degrade(&mut self, neighbor: NodeId) -> bool {
-        match self.entries.get_mut(&neighbor) {
-            Some(e) => e.data_until.take().is_some(),
-            None => false,
+        match self.entries.binary_search_by_key(&neighbor, |&(n, _)| n) {
+            Ok(i) => self.entries[i].1.data_until.take().is_some(),
+            Err(_) => false,
         }
     }
 
@@ -86,58 +110,59 @@ impl GradientTable {
 
     /// Whether a live exploratory gradient toward `neighbor` exists at `now`.
     pub fn has_exploratory(&self, neighbor: NodeId, now: SimTime) -> bool {
-        self.entries
-            .get(&neighbor)
-            .and_then(|e| e.expl_until)
-            .is_some_and(|u| u >= now)
+        self.get(neighbor).is_some_and(|e| e.expl_live(now))
     }
 
     /// Whether a live data gradient toward `neighbor` exists at `now`.
     pub fn has_data(&self, neighbor: NodeId, now: SimTime) -> bool {
+        self.get(neighbor).is_some_and(|e| e.data_live(now))
+    }
+
+    /// Whether any live gradient, exploratory or data, exists at `now` —
+    /// `!all_neighbors(now).is_empty()` without building the list.
+    pub fn any_live(&self, now: SimTime) -> bool {
         self.entries
-            .get(&neighbor)
-            .and_then(|e| e.data_until)
-            .is_some_and(|u| u >= now)
+            .iter()
+            .any(|(_, e)| e.expl_live(now) || e.data_live(now))
     }
 
-    /// The neighbors with a live data gradient at `now`, sorted for
-    /// determinism.
+    /// The neighbors with a live data gradient at `now`, sorted.
     pub fn data_neighbors(&self, now: SimTime) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.data_until.is_some_and(|u| u >= now))
-            .map(|(&n, _)| n)
-            .collect();
-        v.sort_unstable();
+        let mut v = Vec::new();
+        self.data_neighbors_into(now, &mut v);
         v
     }
 
-    /// The neighbors with any live gradient at `now`, sorted for determinism.
+    /// Replaces the contents of `out` with [`data_neighbors`](Self::data_neighbors)
+    /// — the allocation-free form for callers that keep a scratch buffer.
+    pub fn data_neighbors_into(&self, now: SimTime, out: &mut Vec<NodeId>) {
+        out.clear();
+        out.extend(
+            self.entries
+                .iter()
+                .filter(|(_, e)| e.data_live(now))
+                .map(|&(n, _)| n),
+        );
+    }
+
+    /// The neighbors with any live gradient at `now`, sorted.
     pub fn all_neighbors(&self, now: SimTime) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .entries
+        self.entries
             .iter()
-            .filter(|(_, e)| {
-                e.expl_until.is_some_and(|u| u >= now) || e.data_until.is_some_and(|u| u >= now)
-            })
-            .map(|(&n, _)| n)
-            .collect();
-        v.sort_unstable();
-        v
+            .filter(|(_, e)| e.expl_live(now) || e.data_live(now))
+            .map(|&(n, _)| n)
+            .collect()
     }
 
     /// Whether the node is "on the existing tree": it has at least one live
     /// data gradient (someone downstream wants its data).
     pub fn on_tree(&self, now: SimTime) -> bool {
-        self.entries
-            .values()
-            .any(|e| e.data_until.is_some_and(|u| u >= now))
+        self.entries.iter().any(|(_, e)| e.data_live(now))
     }
 
     /// Drops entries whose gradients have all expired.
     pub fn sweep(&mut self, now: SimTime) {
-        self.entries.retain(|_, e| {
+        self.entries.retain_mut(|(_, e)| {
             if e.expl_until.is_some_and(|u| u < now) {
                 e.expl_until = None;
             }
@@ -220,6 +245,19 @@ mod tests {
         assert_eq!(g.all_neighbors(t(0)), vec![NodeId(2), NodeId(5), NodeId(9)]);
         // After exploratory expiry only the data gradients remain.
         assert_eq!(g.all_neighbors(t(50)), vec![NodeId(2), NodeId(5)]);
+    }
+
+    #[test]
+    fn any_live_tracks_expiry_of_both_kinds() {
+        let mut g = GradientTable::new();
+        assert!(!g.any_live(t(0)));
+        g.refresh_exploratory(NodeId(3), t(15));
+        g.reinforce(NodeId(7), t(40));
+        assert!(g.any_live(t(30)));
+        assert!(!g.any_live(t(41)));
+        let mut out = vec![NodeId(99)];
+        g.data_neighbors_into(t(20), &mut out);
+        assert_eq!(out, vec![NodeId(7)]);
     }
 
     #[test]

@@ -59,6 +59,7 @@ mod cache;
 mod config;
 mod flooding;
 mod gradient;
+mod idhash;
 mod metrics;
 mod msg;
 mod naming;

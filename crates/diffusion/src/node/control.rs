@@ -135,7 +135,7 @@ impl DiffusionNode {
             self.sink_consider_reinforce(ctx, id, from);
         }
         // Re-flood along gradients with E increased by this transmission.
-        if !self.gradients.all_neighbors(now).is_empty() {
+        if self.gradients.any_live(now) {
             let msg = DiffMsg::Exploratory {
                 id,
                 item,
@@ -153,7 +153,9 @@ impl DiffusionNode {
             && self.gradients.on_tree(now)
             && self.expl.first_incremental(id, self.me)
         {
-            for n in self.gradients.data_neighbors(now) {
+            let mut downstream = std::mem::take(&mut self.nbr_buf);
+            self.gradients.data_neighbors_into(now, &mut downstream);
+            for &n in &downstream {
                 let msg = DiffMsg::IncrementalCost {
                     id,
                     origin: self.me,
@@ -162,6 +164,7 @@ impl DiffusionNode {
                 let jitter = self.cfg.send_jitter;
                 self.send_jittered(ctx, jitter, Some(n), msg);
             }
+            self.nbr_buf = downstream;
         }
     }
 
@@ -199,7 +202,9 @@ impl DiffusionNode {
                 Some(e) => cost.min(e),
                 None => cost,
             };
-            for n in self.gradients.data_neighbors(now) {
+            let mut downstream = std::mem::take(&mut self.nbr_buf);
+            self.gradients.data_neighbors_into(now, &mut downstream);
+            for &n in &downstream {
                 if n == from {
                     continue; // never bounce it straight back
                 }
@@ -211,6 +216,7 @@ impl DiffusionNode {
                 let jitter = self.cfg.send_jitter;
                 self.send_jittered(ctx, jitter, Some(n), msg);
             }
+            self.nbr_buf = downstream;
         }
     }
 }

@@ -5,9 +5,7 @@ use wsn_net::{Ctx, NodeId};
 use wsn_sim::{SimDuration, SimTime};
 use wsn_trace::{join_lineage, DropReason, LineageId, TraceRecord};
 
-use crate::aggregate::IncomingAgg;
 use crate::msg::{DiffMsg, EventItem, MsgId};
-use crate::truncate::WindowEntry;
 
 use super::{DiffTimer, DiffusionNode};
 
@@ -111,7 +109,7 @@ impl DiffusionNode {
                 e.reinforce_sent = true;
             }
             self.seen_items.insert(item.key());
-            if !self.gradients.all_neighbors(now).is_empty() {
+            if self.gradients.any_live(now) {
                 let msg = DiffMsg::Exploratory {
                     id,
                     item,
@@ -122,15 +120,7 @@ impl DiffusionNode {
             }
         } else {
             self.seen_items.insert(item.key());
-            self.buffer.offer(
-                IncomingAgg {
-                    from: None,
-                    items: vec![item],
-                    cost: 0.0,
-                    arrived: now,
-                },
-                &[item],
-            );
+            self.buffer.offer_items(None, &[item], 0.0, now, &[item]);
             self.maybe_flush(ctx);
         }
         ctx.set_timer(self.next_generate_delay(now), DiffTimer::Generate);
@@ -150,16 +140,14 @@ impl DiffusionNode {
     }
 
     /// The sources whose data passed through here within the truncation
-    /// window — the node's current notion of "expected" upstream sources.
-    fn expected_sources(&self, now: SimTime) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .last_seen_source
+    /// window — the node's current notion of "expected" upstream sources —
+    /// in hash order (callers only count them or test each one).
+    fn expected_sources(&self, now: SimTime) -> impl Iterator<Item = NodeId> + Clone + '_ {
+        let window = self.cfg.truncation_window;
+        self.last_seen_source
             .iter()
-            .filter(|(_, &t)| now.saturating_duration_since(t) <= self.cfg.truncation_window)
+            .filter(move |(_, &t)| now.saturating_duration_since(t) <= window)
             .map(|(&s, _)| s)
-            .collect();
-        v.sort_unstable();
-        v
     }
 
     fn maybe_flush(&mut self, ctx: &mut Ctx<'_, DiffMsg, DiffTimer>) {
@@ -167,13 +155,12 @@ impl DiffusionNode {
             return;
         }
         let now = ctx.now();
-        let expected = self.expected_sources(now);
-        let not_aggregation_point = expected.len() <= 1;
-        let sufficient = !not_aggregation_point && {
-            let pending = self.buffer.pending_sources();
-            expected.iter().all(|s| pending.binary_search(s).is_ok())
+        let flush_now = {
+            let mut expected = self.expected_sources(now);
+            let not_aggregation_point = expected.clone().nth(1).is_none();
+            not_aggregation_point || expected.all(|s| self.buffer.has_pending_from(s))
         };
-        if not_aggregation_point || sufficient {
+        if flush_now {
             self.flush(ctx);
         } else if self.flush_timer.is_none() {
             self.flush_timer = Some(ctx.set_timer(self.cfg.aggregation_delay, DiffTimer::Flush));
@@ -185,7 +172,7 @@ impl DiffusionNode {
             ctx.cancel_timer(h);
         }
         let inputs = self.buffer.cycle_len();
-        let Some(out) = self.buffer.flush() else {
+        let Some(mut out) = self.buffer.flush() else {
             return;
         };
         self.metric(ctx, |ids, reg| reg.observe(ids.agg_fanin, inputs as u64));
@@ -200,8 +187,7 @@ impl DiffusionNode {
             });
         }
         let now = ctx.now();
-        let downstream = self.gradients.data_neighbors(now);
-        if downstream.is_empty() {
+        if !self.gradients.on_tree(now) {
             self.counters.items_dropped_no_gradient += out.items.len() as u64;
             self.metric(ctx, |ids, reg| {
                 reg.add(
@@ -222,14 +208,24 @@ impl DiffusionNode {
             }
             return;
         }
-        for n in downstream {
+        let mut downstream = std::mem::take(&mut self.nbr_buf);
+        self.gradients.data_neighbors_into(now, &mut downstream);
+        // Every downstream neighbor gets its own copy of the items; the last
+        // one takes the flushed vector itself.
+        for (i, &n) in downstream.iter().enumerate() {
+            let items = if i + 1 < downstream.len() {
+                out.items.clone()
+            } else {
+                std::mem::take(&mut out.items)
+            };
             let msg = DiffMsg::Data {
-                items: out.items.clone(),
+                items,
                 cost: out.cost,
             };
             let jitter = self.cfg.send_jitter;
             self.send_jittered(ctx, jitter, Some(n), msg);
         }
+        self.nbr_buf = downstream;
     }
 
     pub(super) fn on_data(
@@ -240,7 +236,8 @@ impl DiffusionNode {
         cost: f64,
     ) {
         let now = ctx.now();
-        let mut new_items = Vec::new();
+        let mut new_items = std::mem::take(&mut self.new_items_buf);
+        new_items.clear();
         for item in items {
             self.last_seen_source.insert(item.source, now);
             if let Some(track) = self.source_tracks.get_mut(&item.source) {
@@ -281,27 +278,16 @@ impl DiffusionNode {
                 }
             }
         }
-        self.window.record(WindowEntry {
-            from,
-            items: items.to_vec(),
-            cost,
-            arrived: now,
-            had_new: !new_items.is_empty(),
-        });
+        self.window
+            .record_items(from, items, cost, now, !new_items.is_empty());
         // Sinks consume; they only buffer-and-forward when they are also a
         // relay on another sink's tree (they hold data gradients).
         if !self.role.is_sink || self.gradients.on_tree(now) {
-            self.buffer.offer(
-                IncomingAgg {
-                    from: Some(from),
-                    items: items.to_vec(),
-                    cost,
-                    arrived: now,
-                },
-                &new_items,
-            );
+            self.buffer
+                .offer_items(Some(from), items, cost, now, &new_items);
             self.maybe_flush(ctx);
         }
+        self.new_items_buf = new_items;
     }
 }
 
@@ -350,13 +336,12 @@ mod tests {
         node.last_seen_source
             .insert(NodeId(2), SimTime::from_secs(5));
         // Window T_n = 2 s: at t = 11 only source 1 is fresh.
-        assert_eq!(
-            node.expected_sources(SimTime::from_secs(11)),
-            vec![NodeId(1)]
-        );
-        assert_eq!(
-            node.expected_sources(SimTime::from_secs(10)),
-            vec![NodeId(1)]
-        );
+        let expected = |s| {
+            node.expected_sources(SimTime::from_secs(s))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(expected(11), vec![NodeId(1)]);
+        assert_eq!(expected(10), vec![NodeId(1)]);
+        assert_eq!(expected(6).len(), 2);
     }
 }

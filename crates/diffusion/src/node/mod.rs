@@ -23,8 +23,6 @@
 //! * [`proto`] — the [`Protocol`](wsn_net::Protocol) impl that dispatches
 //!   packets and timers into the above.
 
-use std::collections::{HashMap, HashSet};
-
 use wsn_net::{Ctx, NodeId, TimerHandle};
 use wsn_sim::SimTime;
 
@@ -32,8 +30,9 @@ use crate::aggregate::AggregationBuffer;
 use crate::cache::ExplCache;
 use crate::config::DiffusionConfig;
 use crate::gradient::GradientTable;
+use crate::idhash::{IdMap, IdSet};
 use crate::metrics::DiffusionMetricIds;
-use crate::msg::{DiffMsg, MsgId};
+use crate::msg::{DiffMsg, EventItem, MsgId};
 use crate::stats::{ProtoCounters, SinkStats};
 use crate::truncate::TruncationLog;
 
@@ -111,31 +110,40 @@ pub struct DiffusionNode {
     me: NodeId,
     // Control plane.
     interest_seq: u32,
-    seen_interests: HashSet<(NodeId, u32)>,
+    seen_interests: IdSet<(NodeId, u32)>,
     gradients: GradientTable,
     expl: ExplCache,
     // Data plane.
-    seen_items: HashSet<(NodeId, u32)>,
+    seen_items: IdSet<(NodeId, u32)>,
     buffer: AggregationBuffer,
     window: TruncationLog,
     flush_timer: Option<TimerHandle>,
     /// Most recent time each source's data was seen here (drives the
     /// aggregation-point and early-flush decisions).
-    last_seen_source: HashMap<NodeId, SimTime>,
+    last_seen_source: IdMap<NodeId, SimTime>,
     /// The most recent exploratory event seen, used to label data-driven
     /// gradient refreshes (re-reinforcement of active upstream providers).
     last_expl: Option<MsgId>,
     /// Per-source freshness for local repair: last data-item arrival and the
     /// most recent exploratory id from that source.
-    source_tracks: HashMap<NodeId, SourceTrack>,
+    source_tracks: IdMap<NodeId, SourceTrack>,
     /// Neighbors the MAC reported unreachable, with suspicion expiry.
-    suspects: HashMap<NodeId, SimTime>,
+    suspects: IdMap<NodeId, SimTime>,
     /// Rate limiter: last repair reinforcement sent per source.
-    last_repair: HashMap<NodeId, SimTime>,
+    last_repair: IdMap<NodeId, SimTime>,
     /// Consecutive MAC-level unicast failures per neighbor (reset by any
     /// reception from that neighbor). One exhausted ARQ can be collision
     /// bad luck; two in a row without hearing anything means a dead link.
-    link_failures: HashMap<NodeId, u32>,
+    link_failures: IdMap<NodeId, u32>,
+    // Scratch buffers, reused across callbacks so that steady-state
+    // handlers do not allocate. A handler takes one, refills it, and puts
+    // it back; contents left from an earlier use mean nothing.
+    /// Neighbor lists a handler sends to (data gradients, window senders).
+    nbr_buf: Vec<NodeId>,
+    /// The current truncation tick's negatively reinforced senders.
+    truncated_buf: Vec<NodeId>,
+    /// The previously unseen items of the data message being handled.
+    new_items_buf: Vec<EventItem>,
     // Measurement.
     /// Delivery records (meaningful for sinks).
     pub sink: SinkStats,
@@ -160,19 +168,22 @@ impl DiffusionNode {
             role,
             me,
             interest_seq: 0,
-            seen_interests: HashSet::new(),
+            seen_interests: IdSet::default(),
             gradients: GradientTable::new(),
             expl: ExplCache::new(),
-            seen_items: HashSet::new(),
+            seen_items: IdSet::default(),
             buffer: AggregationBuffer::new(),
             window,
             flush_timer: None,
-            last_seen_source: HashMap::new(),
+            last_seen_source: IdMap::default(),
             last_expl: None,
-            source_tracks: HashMap::new(),
-            suspects: HashMap::new(),
-            last_repair: HashMap::new(),
-            link_failures: HashMap::new(),
+            source_tracks: IdMap::default(),
+            suspects: IdMap::default(),
+            last_repair: IdMap::default(),
+            link_failures: IdMap::default(),
+            nbr_buf: Vec::new(),
+            truncated_buf: Vec::new(),
+            new_items_buf: Vec::new(),
             sink: SinkStats::default(),
             events_generated: 0,
             counters: ProtoCounters::default(),

@@ -29,10 +29,15 @@ impl Protocol for DiffusionNode {
         self.counters.count_received(packet.payload.kind());
         let from = packet.from;
         // Hearing anything from a neighbor clears link-failure suspicion.
-        self.link_failures.remove(&from);
-        self.suspects.remove(&from);
-        match packet.payload.clone() {
-            DiffMsg::Interest { sink, seq } => {
+        // (Both maps are almost always empty; skip hashing then.)
+        if !self.link_failures.is_empty() {
+            self.link_failures.remove(&from);
+        }
+        if !self.suspects.is_empty() {
+            self.suspects.remove(&from);
+        }
+        match &packet.payload {
+            &DiffMsg::Interest { sink, seq } => {
                 let now = ctx.now();
                 self.gradients
                     .refresh_exploratory(from, now + self.cfg.gradient_timeout);
@@ -41,16 +46,16 @@ impl Protocol for DiffusionNode {
                     self.send_jittered(ctx, jitter, None, DiffMsg::Interest { sink, seq });
                 }
             }
-            DiffMsg::Exploratory { id, item, energy } => {
+            &DiffMsg::Exploratory { id, item, energy } => {
                 self.on_exploratory(ctx, from, id, item, energy);
             }
             DiffMsg::Data { items, cost } => {
-                self.on_data(ctx, from, &items, cost);
+                self.on_data(ctx, from, items, *cost);
             }
-            DiffMsg::IncrementalCost { id, origin, cost } => {
+            &DiffMsg::IncrementalCost { id, origin, cost } => {
                 self.on_incremental(ctx, from, id, origin, cost);
             }
-            DiffMsg::Reinforce { id, kind } => {
+            &DiffMsg::Reinforce { id, kind } => {
                 self.on_reinforce(ctx, from, id, kind);
             }
             DiffMsg::NegativeReinforce => {

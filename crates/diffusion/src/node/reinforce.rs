@@ -1,8 +1,6 @@
 //! Reinforcement handling: positive reinforcement propagation, negative
 //! reinforcement / path truncation (§4.3), and local path repair.
 
-use std::collections::HashSet;
-
 use wsn_net::{Ctx, NodeId};
 use wsn_sim::SimDuration;
 
@@ -119,16 +117,14 @@ impl DiffusionNode {
         {
             return;
         }
-        let mut excluded: HashSet<NodeId> = self
+        let excluded: Vec<NodeId> = self
             .suspects
             .iter()
             .filter(|(_, &u)| u >= now)
             .map(|(&n, _)| n)
+            .chain([self.me])
+            .chain(exclude)
             .collect();
-        excluded.insert(self.me);
-        if let Some(e) = exclude {
-            excluded.insert(e);
-        }
         if let Some((up, _)) =
             self.expl
                 .choose_upstream_excluding(track.last_id, self.cfg.scheme, &excluded)
@@ -159,7 +155,9 @@ impl DiffusionNode {
             // All gradients are exploratory now: truncate our own upstream
             // data senders (the cascade of §4.3).
             self.window.evict(now);
-            for u in self.window.senders() {
+            let mut senders = std::mem::take(&mut self.nbr_buf);
+            self.window.senders_into(&mut senders);
+            for &u in &senders {
                 self.send_jittered(
                     ctx,
                     self.cfg.send_jitter,
@@ -167,13 +165,16 @@ impl DiffusionNode {
                     DiffMsg::NegativeReinforce,
                 );
             }
+            self.nbr_buf = senders;
         }
     }
 
     pub(super) fn on_truncate_tick(&mut self, ctx: &mut Ctx<'_, DiffMsg, DiffTimer>) {
         let now = ctx.now();
         // Truncation applies to nodes pulling data from several neighbors.
-        let truncated = self.window.decide(self.cfg.scheme, now);
+        let mut truncated = std::mem::take(&mut self.truncated_buf);
+        self.window
+            .decide_into(self.cfg.scheme, now, &mut truncated);
         for &n in &truncated {
             self.send_jittered(
                 ctx,
@@ -191,9 +192,11 @@ impl DiffusionNode {
         // whoever keeps feeding it (the cascade of §4.3, re-asserted
         // periodically in case the one-shot cascade message was lost).
         let wants_data = self.role.is_sink || self.gradients.on_tree(now);
+        let mut senders = std::mem::take(&mut self.nbr_buf);
         if wants_data {
             if let Some(id) = self.last_expl {
-                for u in self.window.senders_with_new() {
+                self.window.senders_with_new_into(&mut senders);
+                for &u in &senders {
                     if !truncated.contains(&u) {
                         self.send_jittered(
                             ctx,
@@ -208,7 +211,8 @@ impl DiffusionNode {
                 }
             }
         } else {
-            for u in self.window.senders() {
+            self.window.senders_into(&mut senders);
+            for &u in &senders {
                 if !truncated.contains(&u) {
                     self.send_jittered(
                         ctx,
@@ -219,23 +223,27 @@ impl DiffusionNode {
                 }
             }
         }
+        self.truncated_buf = truncated;
         // Local path repair: a *sink* that stopped hearing from a source it
         // recently tracked re-reinforces an alternative upstream. Relays
         // never initiate repair (they cannot know which sources they are
         // supposed to relay); they only continue walks while starved.
         if self.role.is_sink {
             let silence = self.repair_silence();
-            let mut starved: Vec<NodeId> = self
-                .source_tracks
-                .iter()
-                .filter(|(_, t)| now.saturating_duration_since(t.last_item) > silence)
-                .map(|(&s, _)| s)
-                .collect();
+            let starved = &mut senders;
+            starved.clear();
+            starved.extend(
+                self.source_tracks
+                    .iter()
+                    .filter(|(_, t)| now.saturating_duration_since(t.last_item) > silence)
+                    .map(|(&s, _)| s),
+            );
             starved.sort_unstable();
-            for source in starved {
+            for &source in starved.iter() {
                 self.attempt_repair(ctx, source, None);
             }
         }
+        self.nbr_buf = senders;
         self.suspects.retain(|_, &mut until| until >= now);
         // Housekeeping rides the same periodic timer.
         self.gradients.sweep(now);

@@ -11,10 +11,10 @@
 //!   *sources* (after the event→source transformation) over the window's
 //!   aggregates; truncate neighbors none of whose aggregates are selected.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use wsn_net::NodeId;
-use wsn_setcover::{greedy_cover, to_source_instance};
+use wsn_setcover::{add_source_subset, CoverInstance, GreedySolver};
 use wsn_sim::{SimDuration, SimTime};
 
 use crate::config::Scheme;
@@ -40,6 +40,13 @@ pub struct WindowEntry {
 pub struct TruncationLog {
     window: SimDuration,
     entries: VecDeque<WindowEntry>,
+    /// Item vectors of evicted entries, reused by
+    /// [`record_items`](Self::record_items).
+    spare_items: Vec<Vec<EventItem>>,
+    /// The greedy rule's source cover, rebuilt on every decision.
+    cover: CoverInstance,
+    solver: GreedySolver,
+    events: Vec<(u32, u64)>,
 }
 
 impl TruncationLog {
@@ -48,6 +55,10 @@ impl TruncationLog {
         TruncationLog {
             window,
             entries: VecDeque::new(),
+            spare_items: Vec::new(),
+            cover: CoverInstance::new(),
+            solver: GreedySolver::default(),
+            events: Vec::new(),
         }
     }
 
@@ -56,13 +67,38 @@ impl TruncationLog {
         self.entries.push_back(entry);
     }
 
-    /// Evicts entries older than the window.
+    /// Records an incoming data message carrying `items`, copied into the
+    /// storage of an evicted entry when one is free.
+    pub fn record_items(
+        &mut self,
+        from: NodeId,
+        items: &[EventItem],
+        cost: f64,
+        arrived: SimTime,
+        had_new: bool,
+    ) {
+        let mut v = self.spare_items.pop().unwrap_or_default();
+        v.extend_from_slice(items);
+        self.record(WindowEntry {
+            from,
+            items: v,
+            cost,
+            arrived,
+            had_new,
+        });
+    }
+
+    /// Evicts entries older than the window, keeping their item vectors for
+    /// reuse — no more than the window still holds, so entries recorded
+    /// through [`record`](Self::record) cannot pile up spares.
     pub fn evict(&mut self, now: SimTime) {
-        let horizon = now.saturating_duration_since(SimTime::ZERO); // now as duration
-        let _ = horizon;
         while let Some(front) = self.entries.front() {
             if now.saturating_duration_since(front.arrived) > self.window {
-                self.entries.pop_front();
+                let mut items = self.entries.pop_front().expect("front exists").items;
+                if self.spare_items.len() <= self.entries.len() {
+                    items.clear();
+                    self.spare_items.push(items);
+                }
             } else {
                 break;
             }
@@ -71,21 +107,37 @@ impl TruncationLog {
 
     /// Distinct neighbors that sent data within the window, sorted.
     pub fn senders(&self) -> Vec<NodeId> {
-        let set: BTreeSet<NodeId> = self.entries.iter().map(|e| e.from).collect();
-        set.into_iter().collect()
+        let mut v = Vec::new();
+        self.senders_into(&mut v);
+        v
+    }
+
+    /// Replaces the contents of `out` with [`senders`](Self::senders).
+    pub fn senders_into(&self, out: &mut Vec<NodeId>) {
+        Self::distinct_into(self.entries.iter(), out);
     }
 
     /// Distinct neighbors that delivered at least one previously unseen item
     /// within the window, sorted — the node's *active* upstream providers,
     /// whose data gradients deserve re-reinforcement.
     pub fn senders_with_new(&self) -> Vec<NodeId> {
-        let set: BTreeSet<NodeId> = self
-            .entries
-            .iter()
-            .filter(|e| e.had_new)
-            .map(|e| e.from)
-            .collect();
-        set.into_iter().collect()
+        let mut v = Vec::new();
+        self.senders_with_new_into(&mut v);
+        v
+    }
+
+    /// Replaces the contents of `out` with
+    /// [`senders_with_new`](Self::senders_with_new).
+    pub fn senders_with_new_into(&self, out: &mut Vec<NodeId>) {
+        Self::distinct_into(self.entries.iter().filter(|e| e.had_new), out);
+    }
+
+    /// The sorted distinct senders of `entries`, into `out`.
+    fn distinct_into<'a>(entries: impl Iterator<Item = &'a WindowEntry>, out: &mut Vec<NodeId>) {
+        out.clear();
+        out.extend(entries.map(|e| e.from));
+        out.sort_unstable();
+        out.dedup();
     }
 
     /// Number of entries currently in the window.
@@ -104,48 +156,38 @@ impl TruncationLog {
     /// Returns a sorted list. With fewer than two senders nothing is ever
     /// truncated — there is no alternative path to prefer.
     pub fn decide(&mut self, scheme: Scheme, now: SimTime) -> Vec<NodeId> {
+        let mut v = Vec::new();
+        self.decide_into(scheme, now, &mut v);
+        v
+    }
+
+    /// Replaces the contents of `out` with [`decide`](Self::decide)'s list.
+    pub fn decide_into(&mut self, scheme: Scheme, now: SimTime, out: &mut Vec<NodeId>) {
         self.evict(now);
-        let senders = self.senders();
-        if senders.len() < 2 {
-            return Vec::new();
+        self.senders_into(out);
+        if out.len() < 2 {
+            out.clear();
+            return;
         }
         match scheme {
-            Scheme::Opportunistic => senders
-                .into_iter()
-                .filter(|&s| {
-                    self.entries
-                        .iter()
-                        .filter(|e| e.from == s)
-                        .all(|e| !e.had_new)
-                })
-                .collect(),
+            Scheme::Opportunistic => {
+                // Keep the senders none of whose window entries was new.
+                let entries = &self.entries;
+                out.retain(|&s| entries.iter().all(|e| e.from != s || !e.had_new));
+            }
             Scheme::Greedy => {
                 // Transform each aggregate's events to its sources, weight
                 // w* = w·|S*|/|S|, and cover the sources at minimum weight.
-                let subsets: Vec<(Vec<(u32, u64)>, f64)> = self
-                    .entries
-                    .iter()
-                    .map(|e| {
-                        (
-                            e.items
-                                .iter()
-                                .map(|it| (it.source.0, u64::from(it.round)))
-                                .collect(),
-                            e.cost,
-                        )
-                    })
-                    .collect();
-                let inst = to_source_instance(&subsets);
-                let cover = greedy_cover(&inst);
-                let efficient: BTreeSet<NodeId> = cover
-                    .selected
-                    .iter()
-                    .map(|&i| self.entries[i].from)
-                    .collect();
-                senders
-                    .into_iter()
-                    .filter(|s| !efficient.contains(s))
-                    .collect()
+                self.cover.clear();
+                for e in &self.entries {
+                    self.events.clear();
+                    self.events
+                        .extend(e.items.iter().map(|it| (it.source.0, u64::from(it.round))));
+                    add_source_subset(&mut self.cover, &mut self.events, e.cost);
+                }
+                self.solver.solve(&self.cover);
+                let (entries, selected) = (&self.entries, self.solver.selected());
+                out.retain(|&s| !selected.iter().any(|&i| entries[i].from == s));
             }
         }
     }

@@ -1,9 +1,11 @@
 //! Property-based tests of the diffusion building blocks.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use wsn_diffusion::{
     AggregationBuffer, AggregationFn, EventItem, ExplCache, GradientTable, IncomingAgg, MsgId,
-    Scheme, TruncationLog, WindowEntry,
+    Scheme, TruncationLog, UpstreamKind, WindowEntry,
 };
 use wsn_net::NodeId;
 use wsn_sim::{SimDuration, SimTime};
@@ -210,6 +212,143 @@ proptest! {
                 model.values().any(|&du| du >= now)
             );
         }
+    }
+
+    /// The sorted-vector gradient table answers every query exactly like a
+    /// `BTreeMap` model under random refresh/reinforce/degrade/sweep
+    /// scripts.
+    #[test]
+    fn gradient_table_matches_map_model(
+        ops in prop::collection::vec((0u32..12, 0u8..4, 0u64..40), 1..80)
+    ) {
+        // neighbor -> (exploratory until, data until)
+        let mut model: BTreeMap<u32, (Option<u64>, Option<u64>)> = BTreeMap::new();
+        let mut table = GradientTable::new();
+        let mut scratch = vec![NodeId(999)];
+        for (i, &(n, op, horizon)) in ops.iter().enumerate() {
+            let now = i as u64;
+            let until = now + horizon;
+            match op {
+                0 => {
+                    table.refresh_exploratory(NodeId(n), SimTime::from_nanos(until));
+                    let e = model.entry(n).or_default();
+                    e.0 = Some(e.0.map_or(until, |u| u.max(until)));
+                }
+                1 => {
+                    table.reinforce(NodeId(n), SimTime::from_nanos(until));
+                    let e = model.entry(n).or_default();
+                    e.1 = Some(e.1.map_or(until, |u| u.max(until)));
+                }
+                2 => {
+                    let removed = model.get_mut(&n).and_then(|e| e.1.take()).is_some();
+                    prop_assert_eq!(table.degrade(NodeId(n)), removed);
+                }
+                _ => {
+                    table.sweep(SimTime::from_nanos(now));
+                    model.retain(|_, e| {
+                        e.0 = e.0.filter(|&u| u >= now);
+                        e.1 = e.1.filter(|&u| u >= now);
+                        e.0.is_some() || e.1.is_some()
+                    });
+                }
+            }
+            prop_assert_eq!(table.len(), model.len());
+            // Query now and a little later, so expiry shows.
+            for t in [now, now + 10] {
+                let at = SimTime::from_nanos(t);
+                let live = |u: Option<u64>| u.is_some_and(|u| u >= t);
+                for m in 0..12 {
+                    let (expl, data) = model.get(&m).copied().unwrap_or_default();
+                    prop_assert_eq!(table.has_exploratory(NodeId(m), at), live(expl));
+                    prop_assert_eq!(table.has_data(NodeId(m), at), live(data));
+                    prop_assert_eq!(table.has_any(NodeId(m), at), live(expl) || live(data));
+                }
+                let data_nbrs: Vec<NodeId> = model
+                    .iter()
+                    .filter(|(_, e)| live(e.1))
+                    .map(|(&m, _)| NodeId(m))
+                    .collect();
+                let all_nbrs: Vec<NodeId> = model
+                    .iter()
+                    .filter(|(_, e)| live(e.0) || live(e.1))
+                    .map(|(&m, _)| NodeId(m))
+                    .collect();
+                prop_assert_eq!(table.on_tree(at), !data_nbrs.is_empty());
+                prop_assert_eq!(table.any_live(at), !all_nbrs.is_empty());
+                table.data_neighbors_into(at, &mut scratch);
+                prop_assert_eq!(&scratch, &data_nbrs);
+                prop_assert_eq!(table.data_neighbors(at), data_nbrs);
+                prop_assert_eq!(table.all_neighbors(at), all_nbrs);
+            }
+        }
+    }
+
+    /// Both upstream choices under a random exclusion list equal brute
+    /// force over the recorded offers: greedy takes the minimum
+    /// (cost, exploratory-first, arrival, neighbor) among non-excluded
+    /// offers; opportunistic takes the first sender unless excluded, else
+    /// the earliest non-excluded exploratory offer.
+    #[test]
+    fn upstream_choice_with_exclusions_matches_brute_force(
+        script in offers(),
+        excluded in prop::collection::vec(0u32..8, 0..5),
+    ) {
+        let id = MsgId { source: NodeId(99), round: 0 };
+        let mut cache = ExplCache::new();
+        // Per (neighbor, incremental?): best cost and the arrival of the
+        // first copy at that cost; plus the first sender and whether any
+        // exploratory copy arrived.
+        let mut effective: BTreeMap<(u32, bool), (u32, u64)> = BTreeMap::new();
+        let first_from = script[0].0;
+        let mut saw_exploratory = false;
+        for (t, &(n, cost, incremental)) in script.iter().enumerate() {
+            let now = SimTime::from_nanos((t as u64 + 1) * 1000);
+            if incremental {
+                cache.record_incremental(id, item(99, 0), NodeId(n), cost, now);
+            } else {
+                cache.record_exploratory(id, item(99, 0), NodeId(n), cost, now);
+                saw_exploratory = true;
+            }
+            let e = effective.entry((n, incremental)).or_insert((cost, now.as_nanos()));
+            if cost < e.0 {
+                *e = (cost, now.as_nanos());
+            }
+        }
+        let excluded_ids: Vec<NodeId> = excluded.iter().map(|&n| NodeId(n)).collect();
+        let allowed = |n: &u32| !excluded.contains(n);
+
+        let greedy = effective
+            .iter()
+            .filter(|((n, _), _)| allowed(n))
+            .map(|(&(n, inc), &(cost, time))| (cost, u8::from(inc), time, n))
+            .min()
+            .map(|(_, inc, _, n)| {
+                let kind = if inc == 0 { UpstreamKind::Exploratory } else { UpstreamKind::Incremental };
+                (NodeId(n), kind)
+            });
+        prop_assert_eq!(
+            cache.choose_upstream_excluding(id, Scheme::Greedy, &excluded_ids),
+            greedy
+        );
+
+        let opportunistic = if !saw_exploratory {
+            None
+        } else if allowed(&first_from) {
+            Some(NodeId(first_from))
+        } else {
+            effective
+                .iter()
+                .filter(|((n, inc), _)| !inc && allowed(n))
+                .map(|(&(n, _), &(_, time))| (time, n))
+                .min()
+                .map(|(_, n)| NodeId(n))
+        };
+        prop_assert_eq!(
+            cache
+                .choose_upstream_excluding(id, Scheme::Opportunistic, &excluded_ids)
+                .map(|(n, _)| n),
+            opportunistic
+        );
     }
 
     /// Aggregate sizing: perfect is constant; linear is affine and matches

@@ -11,8 +11,6 @@
 //! size (Chvátal); the property tests in this crate check it against the
 //! exact solver.
 
-use std::collections::BTreeSet;
-
 use crate::instance::CoverInstance;
 
 /// A cover: the selected subset indices and their total weight.
@@ -57,73 +55,143 @@ impl Cover {
 /// assert_eq!(cover.weight, 11.0);
 /// ```
 pub fn greedy_cover(inst: &CoverInstance) -> Cover {
-    let mut uncovered: BTreeSet<u32> = inst.universe().iter().copied().collect();
-    let mut selected: Vec<usize> = Vec::new();
-    let mut in_cover = vec![false; inst.len()];
-
-    while !uncovered.is_empty() {
-        let mut best: Option<(f64, usize, usize)> = None; // (ratio, index, gain)
-        for (i, s) in inst.subsets().iter().enumerate() {
-            if in_cover[i] {
-                continue;
-            }
-            let gain = s.items().iter().filter(|x| uncovered.contains(x)).count();
-            if gain == 0 {
-                continue;
-            }
-            let ratio = s.weight() / gain as f64;
-            let better = match best {
-                None => true,
-                Some((r, _, _)) => ratio < r,
-            };
-            if better {
-                best = Some((ratio, i, gain));
-            }
-        }
-        let (_, i, _) = best.expect("universe is the union of subsets, so a cover must exist");
-        in_cover[i] = true;
-        selected.push(i);
-        for x in inst.subsets()[i].items() {
-            uncovered.remove(x);
-        }
+    let mut solver = GreedySolver::default();
+    let weight = solver.solve(inst);
+    Cover {
+        selected: solver.selected,
+        weight,
     }
-
-    prune_redundant(inst, &mut selected);
-    let weight = inst.selection_weight(&selected);
-    Cover { selected, weight }
 }
 
-/// Removes subsets whose elements are all covered by the rest of the
-/// selection. Candidates are examined from the heaviest down (dropping the
-/// most expensive redundancy first); ties break toward the later-selected
-/// subset. The final `selected` keeps its original selection order.
-fn prune_redundant(inst: &CoverInstance, selected: &mut Vec<usize>) {
-    let mut order: Vec<usize> = (0..selected.len()).collect();
-    order.sort_by(|&a, &b| {
-        let wa = inst.subsets()[selected[a]].weight();
-        let wb = inst.subsets()[selected[b]].weight();
-        wb.partial_cmp(&wa)
-            .expect("weights are finite")
-            .then(b.cmp(&a))
-    });
-    let mut keep = vec![true; selected.len()];
-    for &cand in &order {
-        // Is every element of `cand` covered by the other kept subsets?
-        let covered_elsewhere = inst.subsets()[selected[cand]].items().iter().all(|x| {
-            selected.iter().enumerate().any(|(j, &sj)| {
-                j != cand && keep[j] && inst.subsets()[sj].items().binary_search(x).is_ok()
-            })
-        });
-        if covered_elsewhere {
-            keep[cand] = false;
+/// The greedy heuristic with reusable working memory: repeated solves
+/// through one solver allocate nothing once it has seen instances as large.
+/// [`greedy_cover`] is a one-shot solve through a fresh solver.
+///
+/// # Examples
+///
+/// ```
+/// use wsn_setcover::{greedy_cover, CoverInstance, GreedySolver};
+///
+/// let mut inst = CoverInstance::new();
+/// inst.add_subset(vec![0, 1, 2], 5.0);
+/// inst.add_subset(vec![2, 3], 6.0);
+/// let mut solver = GreedySolver::default();
+/// assert_eq!(solver.solve(&inst), 11.0);
+/// assert_eq!(solver.selected(), &greedy_cover(&inst).selected[..]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct GreedySolver {
+    /// Per universe position: still uncovered?
+    uncovered: Vec<bool>,
+    /// Per subset: already selected?
+    in_cover: Vec<bool>,
+    /// Selected subset indices, in selection order.
+    selected: Vec<usize>,
+    /// Pruning: positions into `selected`, heaviest first.
+    order: Vec<usize>,
+    /// Pruning: per position in `selected`, still kept?
+    keep: Vec<bool>,
+}
+
+impl GreedySolver {
+    /// Covers `inst` and returns the cover's weight; the selection is then
+    /// available from [`selected`](Self::selected).
+    pub fn solve(&mut self, inst: &CoverInstance) -> f64 {
+        let universe = inst.universe();
+        let position = |x: &u32| {
+            universe
+                .binary_search(x)
+                .expect("subset items are in the universe")
+        };
+        self.uncovered.clear();
+        self.uncovered.resize(universe.len(), true);
+        let mut remaining = universe.len();
+        self.in_cover.clear();
+        self.in_cover.resize(inst.len(), false);
+        self.selected.clear();
+
+        while remaining > 0 {
+            let mut best: Option<(f64, usize, usize)> = None; // (ratio, index, gain)
+            for (i, s) in inst.subsets().iter().enumerate() {
+                if self.in_cover[i] {
+                    continue;
+                }
+                let gain = s
+                    .items()
+                    .iter()
+                    .filter(|x| self.uncovered[position(x)])
+                    .count();
+                if gain == 0 {
+                    continue;
+                }
+                let ratio = s.weight() / gain as f64;
+                let better = match best {
+                    None => true,
+                    Some((r, _, _)) => ratio < r,
+                };
+                if better {
+                    best = Some((ratio, i, gain));
+                }
+            }
+            let (_, i, gain) =
+                best.expect("universe is the union of subsets, so a cover must exist");
+            self.in_cover[i] = true;
+            self.selected.push(i);
+            for x in inst.subsets()[i].items() {
+                self.uncovered[position(x)] = false;
+            }
+            remaining -= gain;
         }
+
+        self.prune_redundant(inst);
+        inst.selection_weight(&self.selected)
     }
-    let mut idx = 0;
-    selected.retain(|_| {
-        let k = keep[idx];
-        idx += 1;
-        k
-    });
+
+    /// The subsets the last [`solve`](Self::solve) selected, in selection
+    /// order.
+    pub fn selected(&self) -> &[usize] {
+        &self.selected
+    }
+
+    /// Removes subsets whose elements are all covered by the rest of the
+    /// selection. Candidates are examined from the heaviest down (dropping
+    /// the most expensive redundancy first); ties break toward the
+    /// later-selected subset. The final selection keeps its original
+    /// selection order.
+    fn prune_redundant(&mut self, inst: &CoverInstance) {
+        let selected = &mut self.selected;
+        self.order.clear();
+        self.order.extend(0..selected.len());
+        // Keys are distinct (the index breaks weight ties), so an unstable
+        // sort gives the one order a stable sort would.
+        self.order.sort_unstable_by(|&a, &b| {
+            let wa = inst.subsets()[selected[a]].weight();
+            let wb = inst.subsets()[selected[b]].weight();
+            wb.partial_cmp(&wa)
+                .expect("weights are finite")
+                .then(b.cmp(&a))
+        });
+        let keep = &mut self.keep;
+        keep.clear();
+        keep.resize(selected.len(), true);
+        for &cand in &self.order {
+            // Is every element of `cand` covered by the other kept subsets?
+            let covered_elsewhere = inst.subsets()[selected[cand]].items().iter().all(|x| {
+                selected.iter().enumerate().any(|(j, &sj)| {
+                    j != cand && keep[j] && inst.subsets()[sj].items().binary_search(x).is_ok()
+                })
+            });
+            if covered_elsewhere {
+                keep[cand] = false;
+            }
+        }
+        let mut idx = 0;
+        selected.retain(|_| {
+            let k = keep[idx];
+            idx += 1;
+            k
+        });
+    }
 }
 
 #[cfg(test)]

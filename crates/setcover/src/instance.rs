@@ -53,10 +53,19 @@ impl Subset {
 /// inst.add_subset(vec![1, 3], 7.0);    // S3 = {a2, b2},     w3 = 7
 /// assert_eq!(inst.universe_len(), 4);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct CoverInstance {
     subsets: Vec<Subset>,
     universe: Vec<u32>,
+    /// Emptied item vectors of cleared subsets, reused by
+    /// [`add_subset_from`](Self::add_subset_from).
+    spare: Vec<Vec<u32>>,
+}
+
+impl PartialEq for CoverInstance {
+    fn eq(&self, other: &Self) -> bool {
+        self.subsets == other.subsets && self.universe == other.universe
+    }
 }
 
 impl CoverInstance {
@@ -88,6 +97,27 @@ impl CoverInstance {
         }
         self.subsets.push(Subset { items, weight });
         self.subsets.len() - 1
+    }
+
+    /// Adds a subset whose elements come from an iterator, reusing the
+    /// storage of a subset dropped by [`clear`](Self::clear). Otherwise
+    /// identical to [`add_subset`](Self::add_subset).
+    pub fn add_subset_from(&mut self, items: impl IntoIterator<Item = u32>, weight: f64) -> usize {
+        let mut v = self.spare.pop().unwrap_or_default();
+        v.extend(items);
+        self.add_subset(v, weight)
+    }
+
+    /// Removes every subset, keeping the allocations for reuse: an instance
+    /// rebuilt through [`add_subset_from`](Self::add_subset_from) after a
+    /// `clear` allocates nothing once it has held as many subsets before.
+    pub fn clear(&mut self) {
+        for s in self.subsets.drain(..) {
+            let mut items = s.items;
+            items.clear();
+            self.spare.push(items);
+        }
+        self.universe.clear();
     }
 
     /// The subsets, indexed as returned by [`add_subset`](Self::add_subset).
@@ -222,6 +252,20 @@ mod tests {
         let mut inst = CoverInstance::new();
         let i = inst.add_subset(vec![2, 2, 2], 1.0);
         assert_eq!(inst.subsets()[i].items(), &[2]);
+    }
+
+    #[test]
+    fn clear_then_rebuild_equals_a_fresh_instance() {
+        let mut inst = CoverInstance::new();
+        inst.add_subset(vec![4, 1], 2.0);
+        inst.add_subset(vec![9], 1.0);
+        inst.clear();
+        assert!(inst.is_empty());
+        assert_eq!(inst.universe_len(), 0);
+        inst.add_subset_from([3, 3, 0], 1.5);
+        let mut fresh = CoverInstance::new();
+        fresh.add_subset(vec![0, 3], 1.5);
+        assert_eq!(inst, fresh);
     }
 
     #[test]

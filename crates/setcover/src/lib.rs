@@ -44,6 +44,6 @@ mod instance;
 mod transform;
 
 pub use exact::{exact_cover, MAX_EXACT_ELEMENTS};
-pub use greedy::{greedy_cover, Cover};
+pub use greedy::{greedy_cover, Cover, GreedySolver};
 pub use instance::{CoverInstance, DenseMapper, Subset};
-pub use transform::{to_source_instance, transformed_weight};
+pub use transform::{add_source_subset, to_source_instance, transformed_weight};

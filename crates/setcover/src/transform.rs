@@ -67,17 +67,32 @@ pub fn transformed_weight(weight: f64, original_len: usize, transformed_len: usi
 /// ```
 pub fn to_source_instance(event_subsets: &[(Vec<(u32, u64)>, f64)]) -> CoverInstance {
     let mut inst = CoverInstance::new();
-    for (events, weight) in event_subsets {
-        let mut distinct_events = events.clone();
-        distinct_events.sort_unstable();
-        distinct_events.dedup();
-        let mut sources: Vec<u32> = distinct_events.iter().map(|&(s, _)| s).collect();
-        sources.sort_unstable();
-        sources.dedup();
-        let w = transformed_weight(*weight, distinct_events.len(), sources.len());
-        inst.add_subset(sources, w);
+    let mut events = Vec::new();
+    for (subset, weight) in event_subsets {
+        events.clear();
+        events.extend_from_slice(subset);
+        add_source_subset(&mut inst, &mut events, *weight);
     }
     inst
+}
+
+/// Adds one event-level subset to a source-level instance: the distinct
+/// sources of `events` (`(source, event)` pairs), weighted per
+/// [`transformed_weight`]. Returns the new subset's index. `events` is
+/// left sorted and deduplicated by source; pass a reused buffer and an
+/// instance reset with [`CoverInstance::clear`] to build instances without
+/// allocating. [`to_source_instance`] is this, once per subset.
+pub fn add_source_subset(
+    inst: &mut CoverInstance,
+    events: &mut Vec<(u32, u64)>,
+    weight: f64,
+) -> usize {
+    events.sort_unstable();
+    events.dedup();
+    let distinct_events = events.len();
+    events.dedup_by_key(|&mut (source, _)| source);
+    let w = transformed_weight(weight, distinct_events, events.len());
+    inst.add_subset_from(events.iter().map(|&(source, _)| source), w)
 }
 
 #[cfg(test)]

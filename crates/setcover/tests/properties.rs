@@ -1,7 +1,7 @@
 //! Property-based tests for the set-cover solvers.
 
 use proptest::prelude::*;
-use wsn_setcover::{exact_cover, greedy_cover, to_source_instance, CoverInstance};
+use wsn_setcover::{exact_cover, greedy_cover, to_source_instance, CoverInstance, GreedySolver};
 
 /// Strategy: a random instance with up to `max_sets` subsets over a universe
 /// of at most `max_elem` elements, with weights in (0, 10].
@@ -23,6 +23,28 @@ fn instances(max_sets: usize, max_elem: u32) -> impl Strategy<Value = CoverInsta
 }
 
 proptest! {
+    /// One solver and one instance reused across a sequence of instances
+    /// (rebuilt through `clear` + `add_subset_from`) give exactly the
+    /// one-shot `greedy_cover` of each: no state leaks between solves.
+    #[test]
+    fn reused_solver_and_instance_match_one_shot(
+        seq in prop::collection::vec(instances(10, 16), 1..6)
+    ) {
+        let mut solver = GreedySolver::default();
+        let mut reused = CoverInstance::new();
+        for inst in &seq {
+            reused.clear();
+            for s in inst.subsets() {
+                reused.add_subset_from(s.items().iter().copied(), s.weight());
+            }
+            prop_assert_eq!(&reused, inst);
+            let weight = solver.solve(&reused);
+            let cover = greedy_cover(inst);
+            prop_assert_eq!(solver.selected(), &cover.selected[..]);
+            prop_assert_eq!(weight.to_bits(), cover.weight.to_bits());
+        }
+    }
+
     /// The greedy result always covers the universe.
     #[test]
     fn greedy_always_covers(inst in instances(10, 16)) {

@@ -102,13 +102,17 @@ done
 
 # --- Hot-path microbenchmarks (PR 5) and the 10k-scale path (PR 6): the
 # slab event queue, the PHY broadcast loop, the JSONL trace encoder, the
-# spatial-grid topology build, and a short 10k-node sim. Best-of-$micro_reps
+# diffusion handlers' building blocks (gradient table, exploratory cache,
+# aggregation flush, truncation decision), the spatial-grid topology
+# build, and a short 10k-node sim. Best-of-$micro_reps
 # medians per benchmark; recorded in the artifact and gated against the
 # reference artifact's recorded medians when present (a reference
 # predating a benchmark carries no median for it, so against that
 # reference this run only records).
 micro_benches="event_queue/push_pop_10k event_queue/cancel_half_10k \
 event_queue/churn_steady_64 phy/broadcast_grid36_10s trace/encode_mix \
+diffusion/gradient_refresh diffusion/expl_record_choose \
+diffusion/agg_offer_flush diffusion/truncate_decide \
 topology/build_10k scale/sim_10k_2s"
 micro_log="$(mktemp)"
 trap 'rm -f "$base_log" "$prof_log" "$try_log" "$over_base_log" \

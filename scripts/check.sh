@@ -14,6 +14,13 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> perfbench tests: cargo test --manifest-path perfbench/Cargo.toml"
+# perfbench is a workspace of its own, so tier-1 never builds it. Its
+# density_sweep digest test (1 and 2 workers against the recorded seed-1
+# digests) is the direct guard that a change left every simulated result
+# as it was.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> smoke sweep: 2 points x 2 fields through the job runner"
 # fig8 --quick sweeps exactly two points (1 and 3 sinks); --fields 2 makes
 # it a 2-point/2-field sweep. --progress exercises the per-job reporting.

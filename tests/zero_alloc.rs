@@ -16,10 +16,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use wsn::diffusion::{DiffusionConfig, DiffusionNode, MsgKind, Role, Scheme};
 use wsn::metrics::MetricsRegistry;
 use wsn::net::{
     Ctx, MetricsOptions, NetConfig, NetMetricIds, Network, Packet, Position, Protocol, Topology,
 };
+use wsn::scenario::ScenarioSpec;
 use wsn::sim::{EventQueue, SimDuration, SimTime};
 use wsn::trace::{DropReason, JsonlSink, TraceRecord, TraceSink};
 
@@ -282,6 +284,70 @@ fn main() {
         allocs() - baseline,
         0,
         "JsonlSink allocated in steady state ({written} records)"
+    );
+
+    // ---- Phase 6: the directed-diffusion handlers. A greedy field (1 sink,
+    // 2 sources) runs past its first exploratory rounds (t = 5, 55, 105,
+    // 155 s) so that gradients, the exploratory cache's recycled offer
+    // vectors, the aggregation and truncation item vectors and the
+    // handlers' scratch buffers are warm. In the window after that,
+    // interest and exploratory floods, reinforcement, aggregation flushes
+    // and truncation ticks allocate one packet `Rc` per enqueued frame, one
+    // `items` vector per data message sent, and at most one more per four
+    // data messages received for the amortized growth of the per-node
+    // dedup sets (every data item a node hears is remembered for the rest
+    // of the run). A receiver that copied each message's items once more
+    // would exceed this. ----
+    let spec = ScenarioSpec {
+        node_count: 30,
+        field_side_m: 100.0,
+        num_sources: 2,
+        num_sinks: 1,
+        seed: 5,
+        ..ScenarioSpec::default()
+    };
+    let inst = spec.instantiate();
+    let cfg = DiffusionConfig::for_scheme(Scheme::Greedy);
+    let mut net = Network::new(
+        inst.field.topology.clone(),
+        NetConfig::default(),
+        spec.seed,
+        |id| {
+            let (is_source, is_sink) = inst.role_of(id);
+            DiffusionNode::new(cfg.clone(), id, Role { is_source, is_sink })
+        },
+    );
+    let tally = |net: &Network<DiffusionNode>| {
+        net.protocols()
+            .fold((0, 0, 0), |(sent, data_tx, data_rx), (_, p)| {
+                (
+                    sent + p.counters.total_sent(),
+                    data_tx + p.counters.sent(MsgKind::Data),
+                    data_rx + p.counters.received(MsgKind::Data),
+                )
+            })
+    };
+    net.run_until(SimTime::from_secs(160));
+    let (sent0, data_tx0, data_rx0) = tally(&net);
+    let baseline = allocs();
+    net.run_until(SimTime::from_secs(310));
+    let allocated = allocs() - baseline;
+    let (sent1, data_tx1, data_rx1) = tally(&net);
+    let (sent, data_tx, data_rx) = (sent1 - sent0, data_tx1 - data_tx0, data_rx1 - data_rx0);
+    println!(
+        "zero_alloc: diffusion window: {allocated} allocations, {sent} packets enqueued, \
+         {data_tx} data messages sent, {data_rx} received"
+    );
+    assert!(sent > 2_000, "diffusion run too small: {sent} packets");
+    assert!(
+        data_rx > 1_000,
+        "too little data traffic: {data_rx} data messages"
+    );
+    let bound = sent + data_tx + data_rx / 4;
+    assert!(
+        allocated <= bound,
+        "diffusion handlers allocated {allocated} times, over the bound of {bound} \
+         (1 per enqueued packet + 1 per data message sent + 1 per 4 received)"
     );
 
     println!("zero_alloc: all steady-state allocation invariants hold");
